@@ -109,24 +109,12 @@ void Fcs::set_common(const domain::Box& box) {
 
 void Fcs::set_load_balance(const lb::LbConfig& cfg) {
   balancer_ = std::make_unique<lb::Balancer>(cfg);
-  // Cross-session warm start: resume a converged decomposition plan (and
-  // cost model) instead of re-deriving it from imbalanced early epochs.
-  if (cfg.enabled && cfg.warm != nullptr && !cfg.warm->empty()) {
-    balancer_->restore(*cfg.warm);
-    obs::count(comm_.ctx().obs(), "lb.warm_restores", 1.0);
-  }
 }
 
 void Fcs::set_plan(const plan::PlanConfig& cfg) {
   planner_ = cfg.mode == plan::PlanMode::kOff
                  ? nullptr
                  : std::make_unique<plan::Planner>(cfg);
-  // Cross-session warm start: resume the adaptation state a previous session
-  // snapshotted, instead of re-learning the machine from the cold priors.
-  if (planner_ != nullptr && cfg.warm != nullptr && !cfg.warm->empty()) {
-    planner_->restore(*cfg.warm);
-    obs::count(comm_.ctx().obs(), "plan.warm_restores", 1.0);
-  }
 }
 
 void Fcs::set_accuracy(double accuracy) { solver_->set_accuracy(accuracy); }

@@ -10,10 +10,10 @@
 struct FCS_s {
   fcs::Fcs impl;
   fcs::RunOptions options;
-  // Per-session error text (see fcs_get_last_error_message): concurrent
-  // sessions on one rank (service mode) must not clobber each other's
-  // message, so each handle keeps its own copy in addition to the
-  // thread-local fallback used before a handle exists.
+  // Per-session error text (see fcs_get_last_error_message): several
+  // sessions on one rank must not clobber each other's message, so each
+  // handle keeps its own copy in addition to the thread-local fallback used
+  // before a handle exists.
   std::string last_error;
 
   FCS_s(const mpi::Comm& comm, const char* method) : impl(comm, method) {}

@@ -80,9 +80,8 @@ FCSResult fcs_resort_ints(FCS handle, fcs_int* data, fcs_int components,
                           fcs_int n_original);
 
 /* Last error message of a failed call (thread-local, valid until next call).
- * Prefer fcs_get_last_error_message: with many concurrent sessions per rank
- * (service mode) this global reflects whichever session failed most
- * recently. */
+ * Prefer fcs_get_last_error_message: with several sessions per rank this
+ * global reflects whichever session failed most recently. */
 const char* fcs_last_error(void);
 
 /* ScaFaCoS-style error query, per session: store a pointer to `handle`'s

@@ -120,19 +120,4 @@ void Balancer::load(fcs::ByteReader& r) {
   for (std::vector<double>& c : cuts_) c = r.get_vector<double>();
 }
 
-std::vector<std::byte> Balancer::snapshot() const {
-  fcs::ByteWriter measure;
-  save(measure);
-  std::vector<std::byte> blob(measure.size());
-  fcs::ByteWriter w(blob.data(), blob.size());
-  save(w);
-  return blob;
-}
-
-void Balancer::restore(const std::vector<std::byte>& blob) {
-  fcs::ByteReader r(blob.data(), blob.size());
-  load(r);
-  FCS_CHECK(r.done(), "balancer snapshot has trailing bytes");
-}
-
 }  // namespace lb

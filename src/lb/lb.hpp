@@ -31,7 +31,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "minimpi/comm.hpp"
@@ -58,11 +57,6 @@ struct LbConfig {
   double byte_cost = 1e-9;
   /// EWMA factor for the per-particle cost (1 = use only the last epoch).
   double smoothing = 0.5;
-  /// Cross-session warm start: a Balancer::snapshot() blob to restore into
-  /// the fresh balancer (fcs::Fcs::set_load_balance). The decomposition
-  /// plan it carries only transfers between runs of the SAME scenario
-  /// geometry - keying is the caller's job (see svc::WorkloadSignature).
-  std::shared_ptr<const std::vector<std::byte>> warm;
 };
 
 /// Per-handle balancer state: the smoothed cost model, the trigger state
@@ -109,11 +103,6 @@ class Balancer {
   /// the config is reconstructed by the restoring side, not saved.
   void save(fcs::ByteWriter& w) const;
   void load(fcs::ByteReader& r);
-
-  /// save()/load() as a self-contained blob (two-pass sizing), the unit the
-  /// service's warm-state cache stores and restores.
-  std::vector<std::byte> snapshot() const;
-  void restore(const std::vector<std::byte>& blob);
 
  private:
   LbConfig cfg_;

@@ -327,6 +327,7 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
                 "has no balancer");
       balancer->load(own);
     }
+    FCS_CHECK(own.done(), "checkpoint blob has trailing bytes");
 
     // ...then re-host the shard of a dead rank this rank guards. The
     // cumulative set matters: after a failure mid-recovery the rollback

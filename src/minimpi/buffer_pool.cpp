@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <functional>
-#include <string_view>
 #include <utility>
 
 namespace mpi {
@@ -33,12 +31,13 @@ std::vector<std::byte> BufferPool::acquire(std::size_t bytes,
   in_use_bytes_ += bytes;
   ++in_use_buffers_;
   if (in_use_bytes_ > hwm_bytes_) {
-    gauge(o, "pool.bytes_hwm", static_cast<double>(in_use_bytes_ - hwm_bytes_));
+    obs::count(o, "pool.bytes_hwm",
+               static_cast<double>(in_use_bytes_ - hwm_bytes_));
     hwm_bytes_ = in_use_bytes_;
   }
   if (in_use_buffers_ > hwm_buffers_) {
-    gauge(o, "pool.buffers_hwm",
-          static_cast<double>(in_use_buffers_ - hwm_buffers_));
+    obs::count(o, "pool.buffers_hwm",
+               static_cast<double>(in_use_buffers_ - hwm_buffers_));
     hwm_buffers_ = in_use_buffers_;
   }
 
@@ -74,53 +73,6 @@ std::vector<std::byte> BufferPool::acquire(std::size_t bytes,
   }
   buf.resize(bytes);
   return buf;
-}
-
-void BufferPool::gauge(obs::RankObs* o, const char* name, double delta) const {
-  obs::count(o, name, delta);
-  if (tag_.empty() || o == nullptr) return;
-  // Which cached tagged name goes with `name` is decided by suffix identity;
-  // both call sites pass one of the two hwm gauges.
-  o->add(name == std::string_view("pool.bytes_hwm") ? tagged_bytes_hwm_
-                                                    : tagged_buffers_hwm_,
-         delta);
-}
-
-void BufferPool::set_tag(std::string tag) {
-  tag_ = std::move(tag);
-  tagged_bytes_hwm_ = "pool.bytes_hwm." + tag_;
-  tagged_buffers_hwm_ = "pool.buffers_hwm." + tag_;
-}
-
-std::vector<std::size_t> BufferPool::capacity_classes() const {
-  std::vector<std::size_t> caps;
-  caps.reserve(free_.size());
-  for (const auto& buf : free_) caps.push_back(buf.capacity());
-  std::sort(caps.begin(), caps.end(), std::greater<std::size_t>());
-  return caps;
-}
-
-void BufferPool::preload(const std::vector<std::size_t>& capacities,
-                         obs::RankObs* o) {
-  std::size_t loaded = 0;
-  std::size_t loaded_bytes = 0;
-  for (const std::size_t want : capacities) {
-    if (want == 0) continue;
-    std::size_t cap2 = 256;
-    while (cap2 < want) cap2 *= 2;
-    if (free_.size() >= max_buffers_ || retained_bytes_ + cap2 > max_bytes_)
-      break;  // retention budget reached: warmer classes were loaded first
-    std::vector<std::byte> buf;
-    buf.reserve(cap2);
-    retained_bytes_ += cap2;
-    free_.push_back(std::move(buf));
-    ++loaded;
-    loaded_bytes += cap2;
-  }
-  if (loaded > 0) {
-    obs::count(o, "pool.preload", static_cast<double>(loaded));
-    obs::count(o, "pool.preload_bytes", static_cast<double>(loaded_bytes));
-  }
 }
 
 void BufferPool::adopt_from(BufferPool& other, obs::RankObs* o) {

@@ -22,15 +22,10 @@
 //     outstanding bytes / buffers. Emitted as monotone increments (only the
 //     delta past the previous mark is counted), so the exported counter total
 //     equals the high-water mark itself - a gauge surfaced through the
-//     counter pipeline. When the pool carries a tag (set by the owning
-//     communicator from its context id), the same increments are also
-//     emitted as pool.bytes_hwm.<tag> / pool.buffers_hwm.<tag>, so
-//     service-mode accounting can attribute pool usage to one gang even
-//     though many pools share a rank.
+//     counter pipeline.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -62,30 +57,7 @@ class BufferPool {
   std::size_t bytes_hwm() const { return hwm_bytes_; }
   std::size_t buffers_hwm() const { return hwm_buffers_; }
 
-  /// Attribution tag of the owning communicator ("c0" = world, "c<hex>" for
-  /// sub-communicators). Set once at group creation; empty suppresses the
-  /// tagged counter copies.
-  void set_tag(std::string tag);
-  const std::string& tag() const { return tag_; }
-
-  /// Capacities of the retained free buffers, descending - the pool's warmed
-  /// capacity classes. A service warm cache records these per workload
-  /// signature and preload()s them into a fresh gang's pool.
-  std::vector<std::size_t> capacity_classes() const;
-
-  /// Pre-populate the free list with one buffer per listed capacity
-  /// (power-of-two rounded like acquire), respecting the retention budget.
-  /// Counted as pool.preload / pool.preload_bytes, NOT pool.alloc, so the
-  /// steady-state allocation regression check stays meaningful.
-  void preload(const std::vector<std::size_t>& capacities, obs::RankObs* o);
-
  private:
-  /// Emit a monotone gauge increment, plus its tagged copy when tagged.
-  void gauge(obs::RankObs* o, const char* name, double delta) const;
-
-  std::string tag_;
-  std::string tagged_bytes_hwm_;    // cached "pool.bytes_hwm.<tag>"
-  std::string tagged_buffers_hwm_;  // cached "pool.buffers_hwm.<tag>"
   std::vector<std::vector<std::byte>> free_;
   std::size_t max_buffers_;
   std::size_t max_bytes_;

@@ -1,8 +1,6 @@
 #include "minimpi/comm.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <string>
 #include <tuple>
 
 #include "obs/obs.hpp"
@@ -31,21 +29,13 @@ std::uint64_t mix_context(std::uint64_t parent, std::uint64_t a,
   h ^= a + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   h *= 0xbf58476d1ce4e5b9ULL;
   h ^= b + 0x94d049bb133111ebULL + (h << 6) + (h >> 2);
-  // Final avalanche: without it the low bits of `b` never reach the kept
-  // window, so the same member list under adjacent group tags would share a
-  // context id (sibling gangs' traffic would cross-match).
+  // Final avalanche: spreads every input bit over the kept window, so the
+  // children of adjacent `split` sequence numbers get unrelated context ids
+  // instead of ids that differ only in a few low bits.
   h *= 0xd6e8feb86659fd93ULL;
   h ^= h >> 32;
   h &= 0xfffff;  // 20-bit context id space
   return h == kRecoveryContext ? 0x7a11e : h;
-}
-
-// Pool attribution tag of a communicator: "c" + lowercase hex context id.
-std::string pool_tag(std::uint64_t context_id) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "c%llx",
-                static_cast<unsigned long long>(context_id));
-  return std::string(buf);
 }
 
 }  // namespace
@@ -56,7 +46,6 @@ Comm Comm::world(sim::RankCtx& ctx) {
   for (int r = 0; r < ctx.nranks(); ++r)
     group->world_ranks[static_cast<std::size_t>(r)] = r;
   group->context_id = 0;
-  group->pool.set_tag(pool_tag(0));
   return Comm(std::move(group), ctx.rank(), &ctx);
 }
 
@@ -169,44 +158,9 @@ Comm Comm::split(int color, int key) const {
   const std::uint64_t seq = group_->next_child_seq++;
   group->context_id = mix_context(group_->context_id,
                                   static_cast<std::uint64_t>(color) + 1, seq);
-  group->pool.set_tag(pool_tag(group->context_id));
   return Comm(std::move(group), new_rank, ctx_);
 }
 
 Comm Comm::dup() const { return split(0, my_rank_); }
-
-Comm Comm::create_group(const std::vector<int>& members,
-                        std::uint64_t group_tag) const {
-  FCS_CHECK(!members.empty(), "create_group: empty member list");
-  auto group = std::make_shared<Group>();
-  group->world_ranks.reserve(members.size());
-  int new_rank = -1;
-  // FNV-1a over the member list: the context id must depend on WHICH ranks
-  // form the group, not just how many, so concurrent disjoint gangs get
-  // distinct ids without communicating.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  int prev = -1;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const int r = members[i];
-    FCS_CHECK(r >= 0 && r < size(),
-              "create_group: rank " << r << " out of range");
-    FCS_CHECK(r > prev, "create_group: members must be strictly ascending");
-    prev = r;
-    if (r == my_rank_) new_rank = static_cast<int>(i);
-    group->world_ranks.push_back(world_rank(r));
-    h = (h ^ (static_cast<std::uint64_t>(r) + 1)) * 0x100000001b3ULL;
-  }
-  FCS_CHECK(new_rank >= 0, "create_group: caller is not in the member list");
-  group->context_id = mix_context(group_->context_id, h, group_tag);
-  group->pool.set_tag(pool_tag(group->context_id));
-  return Comm(std::move(group), new_rank, ctx_);
-}
-
-bool Comm::can_recv(int src, int tag) const {
-  const int world_src = src == kAnySource ? sim::kAnySource : world_rank(src);
-  const std::int64_t t =
-      tag == kAnyTag ? sim::kAnyTag : static_cast<std::int64_t>(p2p_tag(tag));
-  return ctx_->can_recv(world_src, t);
-}
 
 }  // namespace mpi

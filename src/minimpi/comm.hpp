@@ -366,34 +366,14 @@ class Comm {
   Comm split(int color, int key) const;
   Comm dup() const;
 
-  /// Build a sub-communicator from an explicit member list WITHOUT any
-  /// communication. `members` are ranks of THIS communicator, strictly
-  /// ascending, and must contain the caller; every member must call with the
-  /// same list and `group_tag`. The context id is derived deterministically
-  /// from (parent context, member list, group_tag), so disjoint gangs carved
-  /// out concurrently by different subsets never coordinate - this is the
-  /// service scheduler's allocation primitive. Reuse a (members, group_tag)
-  /// pair only after the previous group's traffic has fully drained.
-  Comm create_group(const std::vector<int>& members,
-                    std::uint64_t group_tag) const;
-
-  /// Non-consuming probe for a user point-to-point message (src may be
-  /// kAnySource, tag may be kAnyTag). Lets a scheduler rank drain completion
-  /// messages without blocking.
-  bool can_recv(int src, int tag) const;
-
   // --- rank-failure recovery (ULFM-style; implemented in recovery.cpp) ------
 
-  /// This communicator's 20-bit tag context id (diagnostics, recovery).
-  std::uint64_t context_id() const { return group_->context_id; }
-
-  /// Revoke this communicator (MPI_Comm_revoke): every member blocked in a
-  /// receive wakes up and its next communication throws RankFailedError
-  /// unless it is already in recovery mode. Idempotent per recovery round.
-  /// Scoped to this communicator's members, so revoking one gang never
-  /// poisons disjoint sibling groups sharing the engine; on the world
-  /// communicator this is the engine-wide revocation of DESIGN.md §13.
-  void revoke() const { ctx_->revoke(group_->world_ranks); }
+  /// Revoke (MPI_Comm_revoke): every live rank blocked in a receive wakes up
+  /// and its next communication throws RankFailedError unless it is already
+  /// in recovery mode. Idempotent per recovery round. The revocation is
+  /// engine-wide (DESIGN.md §13): revoking a `split` child revokes every
+  /// communicator on the engine, not just the child's members.
+  void revoke() const { ctx_->revoke(); }
 
   /// Fault-tolerant agreement on the failed subset of this communicator's
   /// members (the ULFM MPI_Comm_agree recipe): survivors push their local

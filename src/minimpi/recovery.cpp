@@ -31,7 +31,6 @@
 // generation in the sequence field so rounds cannot cross-talk.
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -187,11 +186,6 @@ ShrinkResult Comm::shrink_recover(std::uint64_t generation) const {
   h = (h >> 16) & 0xfffff;
   if (h == 0 || h == kRecoveryContext) h = 0x5bd1e;
   group->context_id = h;
-  {
-    char tag[24];
-    std::snprintf(tag, sizeof tag, "c%llx", static_cast<unsigned long long>(h));
-    group->pool.set_tag(tag);
-  }
 
   // Keep the shrunk communicator's steady state allocation-free: adopt the
   // parent pool's retained buffers instead of re-growing from the heap. Any

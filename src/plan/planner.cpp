@@ -89,11 +89,9 @@ PlanConfig config_from_env(const PlanConfig& fallback) {
       spec != nullptr && *spec != '\0') {
     const double probe = cfg.probe_rate;
     const double ewma = cfg.ewma_horizon;
-    const auto warm = cfg.warm;
     cfg = parse_plan_spec(spec);
     cfg.probe_rate = probe;
     cfg.ewma_horizon = ewma;
-    cfg.warm = warm;
   }
   if (const char* v = std::getenv("FCS_PLAN_PROBE");
       v != nullptr && *v != '\0')
@@ -391,21 +389,6 @@ void Planner::load(fcs::ByteReader& r) {
   pending_in_order_ = r.get<std::uint8_t>() != 0;
   pending_method_ = static_cast<Method>(r.get<std::uint8_t>());
   pending_alt_cost_ = r.get<double>();
-}
-
-std::vector<std::byte> Planner::snapshot() const {
-  fcs::ByteWriter measure;
-  save(measure);
-  std::vector<std::byte> blob(measure.size());
-  fcs::ByteWriter w(blob.data(), blob.size());
-  save(w);
-  return blob;
-}
-
-void Planner::restore(const std::vector<std::byte>& blob) {
-  fcs::ByteReader r(blob.data(), blob.size());
-  load(r);
-  FCS_CHECK(r.done(), "planner snapshot has trailing bytes");
 }
 
 }  // namespace plan

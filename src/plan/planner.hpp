@@ -32,7 +32,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,11 +59,6 @@ struct PlanConfig {
   /// EWMA horizon (in solver runs) of the cost-model calibration; the
   /// regression step size and the rho smoothing factor are 1/horizon.
   double ewma_horizon = 8.0;
-  /// Warm-start blob (a Planner::snapshot() of an earlier session), applied
-  /// by fcs::Fcs::set_plan right after the Planner is constructed. Null or
-  /// empty starts cold. Shared so configs stay cheap to copy; not an env
-  /// knob - the service's WarmStateCache injects it programmatically.
-  std::shared_ptr<const std::vector<std::byte>> warm;
 };
 
 /// Parse an FCS_PLAN spec: "off" | "auto" | "fixed:<method>[,<sort>]
@@ -180,13 +174,6 @@ class Planner {
   /// from the environment, which the crash does not change).
   void save(fcs::ByteWriter& w) const;
   void load(fcs::ByteReader& r);
-
-  /// Standalone blob form of save()/load() for cross-session warm starts: a
-  /// restored planner replays bit-identical decisions given the same inputs
-  /// (tests/test_plan.cpp proves it). The blob is engine-free plain bytes,
-  /// so a service cache can hold it across jobs and engines.
-  std::vector<std::byte> snapshot() const;
-  void restore(const std::vector<std::byte>& blob);
 
   // --- Model introspection (tests, docs) ---------------------------------
   const CostModel& model() const { return model_; }

@@ -317,23 +317,16 @@ std::vector<int> RankCtx::failed_ranks() const {
 
 void RankCtx::revoke() {
   if (revoked()) return;  // a concurrent detector already raised this epoch
-  engine_->raise_revoke(nullptr);
-  obs::count(obs_, "sim.fault.revokes", 1.0);
-}
-
-void RankCtx::revoke(const std::vector<int>& world_ranks) {
-  if (revoked()) return;  // a concurrent detector already raised this epoch
-  engine_->raise_revoke(&world_ranks);
+  engine_->raise_revoke();
   obs::count(obs_, "sim.fault.revokes", 1.0);
 }
 
 bool RankCtx::revoked() const {
-  return engine_->pending_revoke_[static_cast<std::size_t>(rank_)] >
-         seen_revoke_epoch_;
+  return engine_->revoke_epoch_ > seen_revoke_epoch_;
 }
 
 void RankCtx::acknowledge_revoke() {
-  seen_revoke_epoch_ = engine_->pending_revoke_[static_cast<std::size_t>(rank_)];
+  seen_revoke_epoch_ = engine_->revoke_epoch_;
 }
 
 std::size_t RankCtx::purge_mailbox(
@@ -360,7 +353,6 @@ Engine::Engine(EngineConfig config)
   final_clocks_.resize(static_cast<std::size_t>(config_.nranks), 0.0);
   dead_.resize(static_cast<std::size_t>(config_.nranks), 0);
   death_time_.resize(static_cast<std::size_t>(config_.nranks), 0.0);
-  pending_revoke_.resize(static_cast<std::size_t>(config_.nranks), 0);
   if (faults_ != nullptr && config_.fault_plan.affects_ranks()) {
     for (int r = 0; r < config_.nranks; ++r) {
       const double at = faults_->crash_time(r);
@@ -511,19 +503,14 @@ void Engine::maybe_wake_doomed(double up_to) {
   }
 }
 
-void Engine::raise_revoke(const std::vector<int>* scope) {
-  const auto notify = [this](int r) {
-    if (dead_[static_cast<std::size_t>(r)] != 0) return;
-    ++pending_revoke_[static_cast<std::size_t>(r)];
+void Engine::raise_revoke() {
+  ++revoke_epoch_;
+  for (int r = 0; r < config_.nranks; ++r) {
+    if (dead_[static_cast<std::size_t>(r)] != 0) continue;
     Fiber* const f = fibers_[static_cast<std::size_t>(r)].get();
-    if (f == nullptr || f->state() != Fiber::State::kBlocked) return;
+    if (f == nullptr || f->state() != Fiber::State::kBlocked) continue;
     f->set_state(Fiber::State::kRunnable);
     push_runnable(r, contexts_[static_cast<std::size_t>(r)].now());
-  };
-  if (scope == nullptr) {
-    for (int r = 0; r < config_.nranks; ++r) notify(r);
-  } else {
-    for (int r : *scope) notify(r);
   }
 }
 

@@ -152,16 +152,13 @@ class RankCtx {
   /// set only grows over a run.
   std::vector<int> failed_ranks() const;
 
-  /// Raise an engine-wide revocation: every blocked rank is woken and its
-  /// next recv throws RankFailedError(-1) unless it is in recovery mode.
-  /// Idempotent while this rank has not yet acknowledged the current
-  /// revocation, so concurrent detectors raise exactly one epoch.
+  /// Raise an engine-wide revocation: every live blocked rank is woken and
+  /// its next recv throws RankFailedError(-1) unless it is in recovery mode.
+  /// There is no scoped form: a revoke from any communicator, a `split`
+  /// child included, reaches every rank of the engine. Idempotent while this
+  /// rank has not yet acknowledged the current revocation, so concurrent
+  /// detectors raise exactly one epoch.
   void revoke();
-  /// Scoped revocation: only the listed world ranks are notified, so a
-  /// revoked sub-communicator does not poison disjoint sibling groups
-  /// (service mode runs many gangs on one engine). The caller should be in
-  /// the scope; the idempotency guard is the same as for revoke().
-  void revoke(const std::vector<int>& world_ranks);
   /// A revocation was raised that this rank has not acknowledged yet.
   bool revoked() const;
   void acknowledge_revoke();
@@ -199,7 +196,7 @@ class RankCtx {
   std::int64_t wait_tag_ = 0;
   // Crash schedule of this rank (+infinity: never crashes).
   double crash_at_ = std::numeric_limits<double>::infinity();
-  // Revocation epoch this rank has acknowledged (see Engine::pending_revoke_).
+  // Revocation epoch this rank has acknowledged (see Engine::revoke_epoch_).
   std::uint64_t seen_revoke_epoch_ = 0;
   bool recovery_mode_ = false;
 };
@@ -244,9 +241,8 @@ class Engine {
   /// Force-resume blocked ranks whose crash time is <= `up_to` so they die
   /// on schedule even when no message would ever wake them.
   void maybe_wake_doomed(double up_to);
-  /// Bump the revocation epoch of every rank in `scope` (all ranks when
-  /// null) and wake the blocked survivors among them.
-  void raise_revoke(const std::vector<int>* scope);
+  /// Bump the revocation epoch and wake every blocked survivor.
+  void raise_revoke();
   /// Deliver a message to dst's mailbox, waking it if it is blocked on a
   /// match. Under fault injection, duplicate copies (same chan_seq) are
   /// suppressed here - before matching - so probe-driven loops like the
@@ -280,9 +276,9 @@ class Engine {
   // Rank-failure state (all zero unless the fault plan schedules crashes).
   std::vector<char> dead_;
   std::vector<double> death_time_;
-  // Per-rank revocation epochs: scoped revokes only touch their group's
-  // ranks, so siblings sharing the engine never observe them.
-  std::vector<std::uint64_t> pending_revoke_;
+  // Revocation epoch, bumped once per revoke; a rank is revoked while it
+  // has not acknowledged the current epoch.
+  std::uint64_t revoke_epoch_ = 0;
   int doomed_pending_ = 0;  // live ranks with a finite crash time
 };
 

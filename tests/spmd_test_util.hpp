@@ -1,11 +1,14 @@
 // Shared helpers for tests that run SPMD rank bodies on the sim engine.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "minimpi/comm.hpp"
 #include "sim/engine.hpp"
+#include "support/serialize.hpp"
 
 namespace fcs_test {
 
@@ -24,6 +27,18 @@ inline double run_ranks(int nranks,
     mpi::Comm comm = mpi::Comm::world(ctx);
     body(comm);
   });
+}
+
+/// Checkpoint `obj` the way md's buddy checkpoint does: a measuring
+/// save(ByteWriter&) pass sizes the blob exactly, a second pass fills it.
+template <class T>
+std::vector<std::byte> save_blob(const T& obj) {
+  fcs::ByteWriter measure;
+  obj.save(measure);
+  std::vector<std::byte> blob(measure.size());
+  fcs::ByteWriter w(blob.data(), blob.size());
+  obj.save(w);
+  return blob;
 }
 
 }  // namespace fcs_test

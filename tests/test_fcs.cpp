@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "fcs/fcs.hpp"
 #include "minimpi/cart.hpp"
@@ -58,7 +59,9 @@ TEST(FcsHandle, UnknownSolverThrows) {
   });
 }
 
-class FcsMethods : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+// std::string, not const char*: gtest prints a char pointer with its address,
+// which would put a per-run address into every discovered ctest name.
+class FcsMethods : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
 INSTANTIATE_TEST_SUITE_P(
     RanksAndSolvers, FcsMethods,
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
@@ -67,7 +70,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_P(FcsMethods, MethodAKeepsOrderAndMatchesDirect) {
   const auto [p, solver_name] = GetParam();
   const TestSystem sys = make_system(5);
-  run_ranks(p, [&, solver = std::string(solver_name)](mpi::Comm& c) {
+  run_ranks(p, [&, solver = solver_name](mpi::Comm& c) {
     std::vector<Vec3> pos;
     std::vector<double> q;
     deal(sys, c, pos, q);
@@ -106,7 +109,7 @@ TEST_P(FcsMethods, MethodAKeepsOrderAndMatchesDirect) {
 TEST_P(FcsMethods, MethodBReturnsChangedOrderAndResortFollows) {
   const auto [p, solver_name] = GetParam();
   const TestSystem sys = make_system(5);
-  run_ranks(p, [&, solver = std::string(solver_name)](mpi::Comm& c) {
+  run_ranks(p, [&, solver = solver_name](mpi::Comm& c) {
     std::vector<Vec3> pos;
     std::vector<double> q;
     deal(sys, c, pos, q);
@@ -327,7 +330,7 @@ TaskRunOut run_staged(const TestSystem& sys, mpi::Comm& c,
   handle.set_accuracy(1e-3);
   if (solver == "pm") {
     // Skinny decompositions (3x1x1, 7x1x1): clamp the cutoff so the ghost
-    // halo fits one subdomain, as the bench/service harnesses do.
+    // halo fits one subdomain, as the bench harnesses do.
     auto& pm_solver = dynamic_cast<pm::PmSolver&>(handle.solver());
     const std::vector<int> dims = mpi::dims_create(c.size(), 3);
     const double min_sub = sys.box.extent().x / dims[0];

@@ -149,8 +149,8 @@ TEST(CApi, ResortWithoutMethodBFails) {
 }
 
 TEST(CApi, ErrorMessagesAreIsolatedPerSession) {
-  // Service mode runs many sessions per rank: one session's failure must
-  // not clobber another's retrievable message (the ScaFaCoS-style
+  // With several sessions on one rank, one session's failure must not
+  // clobber another's retrievable message (the ScaFaCoS-style
   // fcs_get_last_error_message contract, as opposed to the thread-local
   // fcs_last_error fallback which always reflects the most recent failure).
   run_ranks(2, [](mpi::Comm& c) {

@@ -21,6 +21,7 @@
 #include "support/rng.hpp"
 
 using fcs_test::run_ranks;
+using fcs_test::save_blob;
 
 namespace {
 
@@ -437,9 +438,9 @@ TEST(LbEndToEnd, SameConfigIsByteIdentical) {
   EXPECT_EQ(a, b);
 }
 
-TEST(Balancer, SnapshotRestoreRoundTrip) {
-  // The service's warm-state unit: a restored balancer carries the evolved
-  // weight, trigger state, and decomposition plan of the one snapshotted.
+TEST(Balancer, SaveLoadRoundTrip) {
+  // The buddy-checkpoint unit: a loaded balancer carries the evolved weight,
+  // trigger state, and decomposition plan of the one saved.
   run_ranks(2, [](mpi::Comm& c) {
     lb::LbConfig cfg;
     cfg.enabled = true;
@@ -448,21 +449,18 @@ TEST(Balancer, SnapshotRestoreRoundTrip) {
     bal.set_splitters({7, 42, 99});
     bal.note_rebalanced();
 
-    const std::vector<std::byte> blob = bal.snapshot();
+    const std::vector<std::byte> blob = save_blob(bal);
     lb::Balancer back(cfg);
-    back.restore(blob);
+    fcs::ByteReader reader(blob.data(), blob.size());
+    back.load(reader);
+    EXPECT_TRUE(reader.done());
     EXPECT_DOUBLE_EQ(back.weight(), bal.weight());
     EXPECT_DOUBLE_EQ(back.imbalance(), bal.imbalance());
     EXPECT_EQ(back.should_rebalance(), bal.should_rebalance());
     ASSERT_TRUE(back.has_splitters());
     EXPECT_EQ(back.splitters(), bal.splitters());
-    // Restore -> snapshot is the identity on the byte stream.
-    EXPECT_EQ(back.snapshot(), blob);
-
-    std::vector<std::byte> bad = blob;
-    bad.push_back(std::byte{0});
-    lb::Balancer fresh(cfg);
-    EXPECT_THROW(fresh.restore(bad), fcs::Error);
+    // Load -> save is the identity on the byte stream.
+    EXPECT_EQ(save_blob(back), blob);
   });
 }
 

@@ -361,105 +361,4 @@ TEST(Cart, SizeMismatchThrows) {
                fcs::Error);
 }
 
-// ---------------------------------------------------------------------------
-// Sub-communicator groups (create_group): the service scheduler's gang
-// allocation primitive. Carving must not communicate, concurrent gangs must
-// progress independently, and traffic/revocation must stay inside the group.
-
-TEST(Groups, CreateGroupCostsNoCommunication) {
-  const double makespan = run_ranks(6, [](mpi::Comm& c) {
-    const std::vector<int> members =
-        c.rank() < 3 ? std::vector<int>{0, 1, 2} : std::vector<int>{3, 4, 5};
-    const mpi::Comm g = c.create_group(members, 7);
-    EXPECT_EQ(g.size(), 3);
-    EXPECT_EQ(g.rank(), c.rank() % 3);
-    EXPECT_EQ(g.world_rank(g.rank()), c.rank());
-    // Disjoint member lists under the same tag get distinct contexts.
-    EXPECT_NE(g.context_id(), c.context_id());
-  });
-  // Zero communication: the virtual clock never moved.
-  EXPECT_EQ(makespan, 0.0);
-}
-
-TEST(Groups, DisjointGroupsProgressIndependently) {
-  run_ranks(6, [](mpi::Comm& c) {
-    const bool low = c.rank() < 3;
-    const std::vector<int> members =
-        low ? std::vector<int>{0, 1, 2} : std::vector<int>{3, 4, 5};
-    const mpi::Comm g = c.create_group(members, 1);
-    // Each gang runs its own collectives; neither blocks on the other (the
-    // high gang does three times as many rounds).
-    const int rounds = low ? 2 : 6;
-    for (int i = 0; i < rounds; ++i) {
-      const int sum = g.allreduce(c.rank(), mpi::OpSum{});
-      EXPECT_EQ(sum, low ? 3 : 12);
-    }
-  });
-}
-
-TEST(Groups, SameMembersDifferentTagsAreIsolatedChannels) {
-  run_ranks(2, [](mpi::Comm& c) {
-    const std::vector<int> members = {0, 1};
-    const mpi::Comm a = c.create_group(members, 10);
-    const mpi::Comm b = c.create_group(members, 11);
-    EXPECT_NE(a.context_id(), b.context_id());
-    constexpr int kTag = 5;
-    if (c.rank() == 0) {
-      const int va = 7;
-      const int vb = 9;
-      a.send(&va, 1, 1, kTag);
-      b.send(&vb, 1, 1, kTag);
-    } else {
-      // Same source and user tag on both channels: matching must follow the
-      // group context, so b's receive never steals a's message.
-      sim::RankCtx& ctx = c.ctx();
-      for (int i = 0; i < 64 && !a.can_recv(0, kTag); ++i) ctx.advance(1e-6);
-      EXPECT_TRUE(a.can_recv(0, kTag));
-      int vb = 0;
-      b.recv(&vb, 1, 0, kTag);
-      EXPECT_EQ(vb, 9);
-      int va = 0;
-      a.recv(&va, 1, 0, kTag);
-      EXPECT_EQ(va, 7);
-    }
-  });
-}
-
-TEST(Groups, RevokeIsScopedToTheGroup) {
-  run_ranks(6, [](mpi::Comm& c) {
-    sim::RankCtx& ctx = c.ctx();
-    const int r = c.rank();
-    if (r == 1 || r == 2) {
-      const mpi::Comm ga = c.create_group({1, 2}, 1);
-      if (r == 1) {
-        ctx.advance(1e-4);
-        ga.revoke();
-        ctx.acknowledge_revoke();
-      } else {
-        int payload = 0;
-        bool woken = false;
-        try {
-          ga.recv(&payload, 1, 0, 9);  // rank 1 never sends: parked here
-        } catch (const mpi::RankFailedError& e) {
-          woken = true;
-          EXPECT_EQ(e.failed_rank(), -1);  // revocation, not a dead peer
-        }
-        EXPECT_TRUE(woken);
-        ctx.acknowledge_revoke();
-      }
-    } else if (r == 3 || r == 4) {
-      // The sibling gang keeps collectively progressing through the whole
-      // episode: the scoped revoke must never reach it.
-      const mpi::Comm gb = c.create_group({3, 4}, 2);
-      for (int i = 0; i < 8; ++i) {
-        EXPECT_EQ(gb.allreduce(r, mpi::OpSum{}), 7);
-        ctx.advance(1e-5);
-      }
-    }
-    // The world communicator was never revoked: once the affected gang has
-    // acknowledged, all six ranks meet in a world collective again.
-    EXPECT_EQ(c.allreduce(1, mpi::OpSum{}), 6);
-  });
-}
-
 }  // namespace

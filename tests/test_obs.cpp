@@ -718,39 +718,6 @@ TEST(Obs, BufferPoolHwmGaugesTrackPeakOutstanding) {
   EXPECT_EQ(reduced.at("pool.buffers_hwm").totals.sum, 2.0);
 }
 
-TEST(Obs, TaggedPoolEmitsPerInstanceGaugeCopies) {
-  // Service mode runs one pool per gang communicator; the owning comm tags
-  // its pool so each instance's high-water marks stay attributable after
-  // the per-comm pools are torn down.
-  obs::Recorder rec;
-  rec.attach(1);
-  obs::RankObs* o = &rec.rank(0);
-  mpi::BufferPool pool;
-  pool.set_tag("c1f2a");
-  EXPECT_EQ(pool.tag(), "c1f2a");
-  auto a = pool.acquire(200, o);
-  auto b = pool.acquire(56, o);
-  pool.release(std::move(a), o);
-  pool.release(std::move(b), o);
-  const auto reduced = rec.reduce_counters();
-  // Untagged totals aggregate across pools; the tagged copies single one
-  // instance out.
-  EXPECT_EQ(reduced.at("pool.bytes_hwm").totals.sum, 256.0);
-  EXPECT_EQ(reduced.at("pool.bytes_hwm.c1f2a").totals.sum, 256.0);
-  EXPECT_EQ(reduced.at("pool.buffers_hwm.c1f2a").totals.sum, 2.0);
-
-  // Re-tagging mid-life starts a fresh gauge stream: the new tag reports
-  // only growth past the mark already published under the old tag.
-  mpi::BufferPool other;
-  auto c = other.acquire(100, o);
-  other.release(std::move(c), o);
-  other.set_tag("late");
-  auto d = other.acquire(100, o);  // no growth: nothing published to "late"
-  other.release(std::move(d), o);
-  const auto again = rec.reduce_counters();
-  EXPECT_EQ(again.count("pool.bytes_hwm.late"), 0u);
-}
-
 TEST(Obs, PoolHwmGaugesReachTheMetricsExport) {
   const auto [trace, metrics] = run_instrumented(redist::ExchangeKind::kDense);
   (void)trace;

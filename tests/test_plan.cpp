@@ -15,6 +15,7 @@
 #include "spmd_test_util.hpp"
 
 using fcs_test::run_ranks;
+using fcs_test::save_blob;
 
 namespace {
 
@@ -298,10 +299,10 @@ TEST(Planner, ObservationsCalibrateRhoAndModel) {
   });
 }
 
-TEST(Planner, SnapshotRestoreReplaysBitIdenticalDecisions) {
-  // The warm-start contract of the solver service (src/svc): a planner
-  // restored from a snapshot is indistinguishable from the one that took
-  // it - same decisions on the same inputs, bit for bit.
+TEST(Planner, SaveLoadReplaysBitIdenticalDecisions) {
+  // The buddy-checkpoint contract: a planner loaded from a saved blob is
+  // indistinguishable from the one that saved it - same decisions on the
+  // same inputs, bit for bit.
   run_ranks(4, [](mpi::Comm& c) {
     plan::PlanConfig cfg = plan::parse_plan_spec("auto");
     cfg.probe_rate = 0.5;
@@ -319,17 +320,19 @@ TEST(Planner, SnapshotRestoreReplaysBitIdenticalDecisions) {
       a.observe(c, synthetic_observation(p, 1e-3 * (1 + step % 2), 2e-4));
     }
 
-    const std::vector<std::byte> blob = a.snapshot();
+    const std::vector<std::byte> blob = save_blob(a);
     plan::Planner b(cfg);
-    b.restore(blob);
+    fcs::ByteReader reader(blob.data(), blob.size());
+    b.load(reader);
+    EXPECT_TRUE(reader.done());
     // The decision audit travels with the adaptation state.
     EXPECT_EQ(b.decision_string(), a.decision_string());
     EXPECT_EQ(b.decision_count(), a.decision_count());
     EXPECT_EQ(b.probe_count(), a.probe_count());
 
     // From here the two planners must stay in lockstep: identical plans,
-    // probes included (the probe schedule is part of the snapshot), and
-    // identical snapshots afterwards.
+    // probes included (the probe schedule is part of the blob), and
+    // identical blobs afterwards.
     for (int step = 5; step < 12; ++step) {
       const plan::RedistPlan pa = a.decide(c, din_at(step));
       const plan::RedistPlan pb = b.decide(c, din_at(step));
@@ -340,13 +343,7 @@ TEST(Planner, SnapshotRestoreReplaysBitIdenticalDecisions) {
       b.observe(c, oin);
     }
     EXPECT_EQ(a.decision_string(), b.decision_string());
-    EXPECT_EQ(a.snapshot(), b.snapshot());
-
-    // Trailing garbage is a corrupt snapshot, not silently ignored.
-    std::vector<std::byte> bad = blob;
-    bad.push_back(std::byte{0});
-    plan::Planner fresh(cfg);
-    EXPECT_THROW(fresh.restore(bad), fcs::Error);
+    EXPECT_EQ(save_blob(a), save_blob(b));
   });
 }
 
