@@ -15,8 +15,8 @@
 // the A/B runs versus the Bm run show the dense -> sparse switch directly.
 //
 // A fifth series "Bs" repeats the plain B configuration with the columnar
-// particle store (FCS_STORE machinery, src/store): the integrator fields
-// travel INSIDE the solver's own redistribution exchange instead of a
+// particle store (SimulationConfig::use_store, src/store): the integrator
+// fields travel INSIDE the solver's own redistribution exchange instead of a
 // separate per-step resort round, so the redistribution share of each step
 // drops while the physics stays bit-identical - the run asserts that the
 // B and Bs final-state checksums match and prints "store bit-identity: yes".
@@ -77,7 +77,7 @@ int main() {
       // the plain B configuration through the task-graph overlapped
       // fcs_run (FCS_TASK): identical work, exchange hidden under compute.
       // Bs repeats plain B with the columnar store carrying the integrator
-      // fields inside the solver exchange (FCS_STORE machinery).
+      // fields inside the solver exchange.
       cfg.exploit_max_movement = variant == 2 || variant == 5;
       cfg.modeled_compute = true;
       cfg.surrogate_motion = true;
@@ -85,8 +85,8 @@ int main() {
       if (variant == 5) cfg.rogue_rate = rogue;
       const bool overlapped = variant == 3;
       const bool stored = variant == 4;
+      cfg.use_store = stored;
       if (overlapped) fcs::set_task_mode(1);
-      if (stored) fcs::set_store_mode(1);
       std::string label;
       if (overlapped) label = std::string(solver) + "-B-task";
       if (stored) label = std::string(solver) + "-B-store";
@@ -94,7 +94,6 @@ int main() {
           nranks, bench::juropa_like(), sys, solver, cfg, 256, label,
           variant == 5 ? &faults : nullptr);
       if (overlapped) fcs::set_task_mode(-1);
-      if (stored) fcs::set_store_mode(-1);
       res[static_cast<std::size_t>(variant)] = std::move(out.result);
       const auto& r = res[static_cast<std::size_t>(variant)];
       bench::Series s;

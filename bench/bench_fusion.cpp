@@ -1,23 +1,23 @@
-// Fused exchange plans vs legacy per-field exchanges (redist/exchange_plan).
+// One fused resort batch vs one resort call per field (redist/exchange_plan).
 //
-// Method-B coupling with k additional per-particle fields (velocities,
-// accelerations, ...) legacy pays one full exchange PER FIELD: a counts
-// transpose (dense) or NBX barrier (sparse), the dense fabric latency, and a
-// 4-byte position header per element, k+0 times over. The fused path builds
-// one ExchangePlan per fcs_run and ships every field as one extra typed
-// segment of a single multi-segment message per partner pair.
+// Every method-B fcs_run builds one resort plan (an ExchangePlan with known
+// receive counts). With k additional per-particle fields (velocities,
+// accelerations, ...) the application can move them with k resort_vec3
+// calls - k plan applies, each paying the dense fabric latency / its own
+// partner messages - or with one ResortBatch, which ships every field as one
+// extra typed segment of a single multi-segment message per partner pair.
 //
-// This harness runs both modes (FCS_EXCHANGE_FUSE override) over 0/2/4 extra
-// Vec3 fields on both machine models and reports the per-step REDISTRIBUTION
-// virtual time: solver sort + resort-index creation + the application-side
-// field resorts, compute excluded. BENCH_fusion.json carries the series; CI
-// asserts the fused 4-field switched-fabric run undercuts legacy by >= 20%.
+// This harness runs both arms ("fused": ResortBatch, "perfield": resort_vec3
+// per field) over 0/2/4 extra Vec3 fields on both machine models and reports
+// the per-step REDISTRIBUTION virtual time: solver sort + resort-index
+// creation + the application-side field resorts, compute excluded.
+// BENCH_fusion.json carries the series; CI asserts the fused 4-field
+// switched-fabric run undercuts the per-field arm by >= 20%.
 //
 //   FUSION_RANKS - rank count (default 64, the acceptance scale)
 //   FUSION_N     - global particle count (default 55296)
 //   FUSION_STEPS - time steps per series (default 10)
 #include "bench_common.hpp"
-#include "redist/exchange_plan.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -32,7 +32,6 @@ struct FusionSeries {
 FusionSeries run_fusion(int nranks, std::shared_ptr<const sim::NetworkModel> net,
                         std::size_t n_global, int steps, int extra_fields,
                         bool fused) {
-  redist::set_exchange_fuse(fused ? 1 : 0);
   FusionSeries out;
   sim::EngineConfig cfg;
   cfg.nranks = nranks;
@@ -97,7 +96,6 @@ FusionSeries run_fusion(int nranks, std::shared_ptr<const sim::NetworkModel> net
       }
     }
   });
-  redist::set_exchange_fuse(-1);
   return out;
 }
 
@@ -107,7 +105,7 @@ int main() {
   const int nranks = static_cast<int>(bench::env_size("FUSION_RANKS", 64));
   const std::size_t n_global = bench::env_size("FUSION_N", 55296);
   const int steps = static_cast<int>(bench::env_size("FUSION_STEPS", 10));
-  std::printf("Fused exchange plans vs legacy per-field exchanges\n");
+  std::printf("Fused resort batch vs per-field resort calls\n");
   std::printf("(%d ranks, %zu particles, %d steps, method B + k extra Vec3 "
               "fields; per-step\n redistribution virtual time: sort + resort "
               "indices + field exchanges)\n\n",
@@ -118,26 +116,27 @@ int main() {
     const char* net_name = torus ? "torus" : "switched";
     std::printf("%s network:\n",
                 torus ? "torus (Juqueen-like)" : "switched (JuRoPA-like)");
-    fcs::Table table({"extra_fields", "legacy", "fused", "saving"});
+    fcs::Table table({"extra_fields", "perfield", "fused", "saving"});
     for (const int extra : {0, 2, 4}) {
       auto net = [&]() -> std::shared_ptr<const sim::NetworkModel> {
         return torus ? bench::juqueen_like(nranks) : bench::juropa_like();
       };
-      const FusionSeries legacy =
+      const FusionSeries perfield =
           run_fusion(nranks, net(), n_global, steps, extra, false);
       const FusionSeries fused =
           run_fusion(nranks, net(), n_global, steps, extra, true);
       const double saving =
-          legacy.total > 0.0 ? 1.0 - fused.total / legacy.total : 0.0;
+          perfield.total > 0.0 ? 1.0 - fused.total / perfield.total : 0.0;
       table.begin_row()
           .col(static_cast<long long>(extra))
-          .col(legacy.total, 4)
+          .col(perfield.total, 4)
           .col(fused.total, 4)
           .col(saving * 100.0, 3);
       for (const bool is_fused : {false, true}) {
-        const FusionSeries& s = is_fused ? fused : legacy;
+        const FusionSeries& s = is_fused ? fused : perfield;
         bench::Series js;
-        js.name = std::string(net_name) + (is_fused ? "-fused-" : "-legacy-") +
+        js.name = std::string(net_name) +
+                  (is_fused ? "-fused-" : "-perfield-") +
                   std::to_string(extra) + "f";
         js.total_time = s.total;
         js.per_step = s.per_step;
@@ -152,9 +151,9 @@ int main() {
     std::fputs(oss.str().c_str(), stdout);
     std::printf("\n");
   }
-  std::printf("(saving = 1 - fused/legacy, percent of redistribution time; "
-              "fused ships all\n fields as segments of ONE message per "
-              "partner and skips the per-field counts\n exchange)\n");
+  std::printf("(saving = 1 - fused/perfield, percent of redistribution "
+              "time; fused ships all\n fields as segments of ONE message per "
+              "partner instead of one plan apply per\n field)\n");
   bench::write_bench_json("fusion", all);
   return 0;
 }

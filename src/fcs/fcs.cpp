@@ -53,27 +53,6 @@ void set_task_slabs(std::size_t slabs) { g_slab_override = slabs; }
 
 namespace {
 
-int g_store_override = -1;
-
-bool env_store() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("FCS_STORE");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }();
-  return enabled;
-}
-
-}  // namespace
-
-bool store_enabled() {
-  if (g_store_override >= 0) return g_store_override != 0;
-  return env_store();
-}
-
-void set_store_mode(int enabled) { g_store_override = enabled; }
-
-namespace {
-
 /// Conservation validation of a whole run (FCS_REDIST_VALIDATE): the global
 /// particle count and an order-independent charge checksum must be the same
 /// before and after all redistribution. Charges are copied, never
@@ -148,9 +127,9 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
   const bool planned = planner_ != nullptr && planner_->active();
   bool want_resort = options.resort;
   double bound = options.max_particle_move;
-  // Extra per-particle fields the app resorted since the previous run: with
-  // fusion they ride the planned exchange at marginal cost, without it each
-  // one pays a full exchange - the planner's cost model needs to know.
+  // Extra per-particle fields the app resorted since the previous run: they
+  // ride the planned resort exchange at marginal cost, which the planner's
+  // cost model charges.
   const std::size_t extra_fields = resort_field_count_;
   resort_field_count_ = 0;
   if (planned) {
@@ -160,7 +139,6 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
     din.input_in_solver_order = last_resorted_;
     din.volume = box_.volume();
     din.extra_fields = static_cast<double>(extra_fields);
-    din.fused_exchange = redist::fuse_enabled();
     rplan = planner_->decide(comm_, din);
     want_resort = rplan.method != plan::Method::kA;
     // Only the movement-bound arm exploits the bound: methods A and B must
@@ -189,36 +167,12 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
     if (want_resort) sopts.carry = &staged_store_->exchange_columns();
   }
 
-  // Queue a staged field into a fused batch (shared by the overlapped and
-  // the phased staged-field paths below).
-  const auto add_field = [](redist::FusedBatch& b, const ResortBatch::Field& f) {
-    switch (f.kind) {
-      case ResortBatch::Kind::kFloats: {
-        auto* v = static_cast<std::vector<double>*>(f.vec);
-        b.add(*v, f.components, *v);
-        break;
-      }
-      case ResortBatch::Kind::kInts: {
-        auto* v = static_cast<std::vector<std::int64_t>*>(f.vec);
-        b.add(*v, f.components, *v);
-        break;
-      }
-      case ResortBatch::Kind::kVec3: {
-        auto* v = static_cast<std::vector<domain::Vec3>*>(f.vec);
-        b.add(*v, f.components, *v);
-        break;
-      }
-    }
-  };
-
   // --- Solve: phased, or overlapped through the task graph ------------------
   const bool use_task =
       task_enabled() && want_resort && solver_->supports_staged_solve();
   SolveResult solved;
   PhaseTimes task_times;       // resort-machinery time of the overlapped path
   bool task_resorted = false;  // the graph already ran the resort machinery
-  bool staged_done = false;    // staged fields already exchanged by the graph
-  bool store_done = false;     // store columns already exchanged by the graph
 
   if (use_task) {
     auto stage = std::make_shared<SolveStage>(
@@ -242,35 +196,10 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
       {
         PhaseScope phase(ctx, task_times, &PhaseTimes::resort, "fcs.resort",
                          /*add_to_total=*/true);
-        resort_indices_ = redist::invert_origin_indices(
-            comm_, stage->partial.origin, n_original,
-            stage->partial.resort_kind);
-        resort_n_original_ = n_original;
-        resort_n_changed_ = stage->partial.origin.size();
-        resort_kind_ = stage->partial.resort_kind;
-        if (redist::fuse_enabled())
-          resort_plan_ = redist::ResortPlan::build(comm_, resort_indices_,
-                                                   stage->partial.origin,
-                                                   stage->partial.resort_kind);
-        else
-          resort_plan_.reset();
-        // Store columns ride the same slabbed batch - unless the solver
-        // already carried them inside its own exchange.
-        const bool store_pending =
-            staged_store_ != nullptr && !stage->partial.fields_carried;
-        if (resort_plan_.valid() &&
-            (!staged_fields_.empty() || store_pending)) {
-          batch.emplace(comm_, resort_plan_.plan(), resort_plan_.placement());
-          for (const ResortBatch::Field& f : staged_fields_)
-            add_field(*batch, f);
-          if (store_pending) staged_store_->stage_into(*batch);
-          nslabs = batch->async_begin(task_slabs());
-          resort_field_count_ +=
-              staged_fields_.size() +
-              (store_pending ? staged_store_->payload_fields() : 0);
-          staged_done = !staged_fields_.empty();
-          store_done = store_pending;
-        }
+        build_resort_plan(stage->partial.origin, n_original,
+                          stage->partial.resort_kind);
+        batch = run_batch(stage->partial.fields_carried);
+        if (batch) nslabs = batch->async_begin(task_slabs());
       }
       // The overlapped graph: per-slab pack -> async exchange, the force
       // computation running while the slabs are in flight, one unpack once
@@ -349,89 +278,28 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
     obs::count(ctx.obs(), "fcs.resort_fallback", 1.0);
 
   if (do_resort) {
-    // --- Method B: hand back the solver order, create resort indices ------
+    // --- Method B: hand back the solver order; staged data follows it -----
+    // (the overlapped graph already ran this machinery)
     if (!task_resorted) {
-      PhaseScope phase(ctx, result.times, &PhaseTimes::resort, "fcs.resort",
-                       /*add_to_total=*/true);
-      resort_indices_ = redist::invert_origin_indices(
-          comm_, solved.origin, n_original, solved.resort_kind);
-      resort_n_original_ = n_original;
-      resort_n_changed_ = solved.positions.size();
-      resort_kind_ = solved.resort_kind;
-      // The reusable schedule for all subsequent per-field resorts: built
-      // with zero communication from the two index arrays already in hand.
-      if (redist::fuse_enabled())
-        resort_plan_ = redist::ResortPlan::build(comm_, resort_indices_,
-                                                 solved.origin,
-                                                 solved.resort_kind);
-      else
-        resort_plan_.reset();
-      positions = std::move(solved.positions);
-      charges = std::move(solved.charges);
-      potentials = std::move(solved.potentials);
-      field = std::move(solved.field);
-      last_resorted_ = true;
-    } else {
-      // The overlapped graph already ran the machinery; just hand the
-      // solver-ordered arrays back.
-      positions = std::move(solved.positions);
-      charges = std::move(solved.charges);
-      potentials = std::move(solved.potentials);
-      field = std::move(solved.field);
-      last_resorted_ = true;
-    }
-    // Staged fields travel with the run (the overlapped graph may have
-    // exchanged them already; otherwise they go through the same machinery
-    // a resort_batch() call would use).
-    if (!staged_fields_.empty()) {
-      if (!staged_done) {
+      {
         PhaseScope phase(ctx, result.times, &PhaseTimes::resort, "fcs.resort",
                          /*add_to_total=*/true);
-        if (resort_plan_.valid()) {
-          redist::FusedBatch batch(comm_, resort_plan_.plan(),
-                                   resort_plan_.placement());
-          for (const ResortBatch::Field& f : staged_fields_)
-            add_field(batch, f);
-          batch.execute();
-          resort_field_count_ += staged_fields_.size();
-        } else {
-          for (const ResortBatch::Field& f : staged_fields_) {
-            switch (f.kind) {
-              case ResortBatch::Kind::kFloats:
-                resort_floats(*static_cast<std::vector<double>*>(f.vec),
-                              f.components);
-                break;
-              case ResortBatch::Kind::kInts:
-                resort_ints(*static_cast<std::vector<std::int64_t>*>(f.vec),
-                            f.components);
-                break;
-              case ResortBatch::Kind::kVec3:
-                resort_vec3(*static_cast<std::vector<domain::Vec3>*>(f.vec));
-                break;
-            }
-          }
-        }
+        build_resort_plan(solved.origin, n_original, solved.resort_kind);
       }
-      staged_fields_.clear();
+      if (std::optional<redist::FusedBatch> batch =
+              run_batch(solved.fields_carried)) {
+        PhaseScope phase(ctx, result.times, &PhaseTimes::resort, "fcs.resort",
+                         /*add_to_total=*/true);
+        batch->execute();
+      }
     }
-    // Staged store columns travel with the run too: either they already rode
-    // the solver's own exchange (fields_carried - zero extra communication)
-    // or they go through the same resort machinery as the staged fields.
+    positions = std::move(solved.positions);
+    charges = std::move(solved.charges);
+    potentials = std::move(solved.potentials);
+    field = std::move(solved.field);
+    last_resorted_ = true;
+    staged_fields_.clear();
     if (staged_store_ != nullptr) {
-      if (!solved.fields_carried && !store_done) {
-        PhaseScope phase(ctx, result.times, &PhaseTimes::resort, "fcs.resort",
-                         /*add_to_total=*/true);
-        if (resort_plan_.valid()) {
-          redist::FusedBatch batch(comm_, resort_plan_.plan(),
-                                   resort_plan_.placement());
-          staged_store_->stage_into(batch);
-          batch.execute();
-        } else {
-          staged_store_->resort_payload(comm_, resort_indices_,
-                                        resort_n_changed_, resort_kind_);
-        }
-        resort_field_count_ += staged_store_->payload_fields();
-      }
       // Sync the row count (and the non-travelling position/key columns) to
       // the changed distribution; the payload column buffers already hold
       // exactly resort_n_changed_ rows.
@@ -471,7 +339,6 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
       field[i] = restored[i].field;
     }
     last_resorted_ = false;
-    resort_indices_.clear();
     resort_plan_.reset();
     resort_n_changed_ = n_original;
   }
@@ -498,16 +365,37 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
   return result;
 }
 
+void Fcs::build_resort_plan(const std::vector<std::uint64_t>& origin,
+                            std::size_t n_original,
+                            redist::ExchangeKind kind) {
+  const std::vector<std::uint64_t> resort_indices =
+      redist::invert_origin_indices(comm_, origin, n_original, kind);
+  // The reusable schedule for every field that follows the particles: built
+  // with zero communication from the two index arrays already in hand.
+  resort_plan_ = redist::ResortPlan::build(comm_, resort_indices, origin, kind);
+  resort_n_changed_ = origin.size();
+}
+
+std::optional<redist::FusedBatch> Fcs::run_batch(bool store_carried) {
+  const bool store_pending = staged_store_ != nullptr && !store_carried;
+  if (staged_fields_.empty() && !store_pending) return std::nullopt;
+  std::optional<redist::FusedBatch> batch(
+      std::in_place, comm_, resort_plan_.plan(), resort_plan_.placement());
+  ResortBatch::queue(*batch, staged_fields_);
+  resort_field_count_ += staged_fields_.size();
+  if (store_pending) {
+    staged_store_->stage_into(*batch);
+    resort_field_count_ += staged_store_->payload_fields();
+  }
+  return batch;
+}
+
 void Fcs::resort_floats(std::vector<double>& values,
                         std::size_t components) const {
   FCS_CHECK(last_resorted_,
             "resort_floats: the last run did not return the changed order");
   ++resort_field_count_;
-  values = resort_plan_.valid()
-               ? resort_plan_.resort(comm_, values, components)
-               : redist::resort_values(comm_, resort_indices_, values,
-                                       components, resort_n_changed_,
-                                       resort_kind_);
+  values = resort_plan_.resort(comm_, values, components);
 }
 
 void Fcs::resort_ints(std::vector<std::int64_t>& values,
@@ -515,21 +403,14 @@ void Fcs::resort_ints(std::vector<std::int64_t>& values,
   FCS_CHECK(last_resorted_,
             "resort_ints: the last run did not return the changed order");
   ++resort_field_count_;
-  values = resort_plan_.valid()
-               ? resort_plan_.resort(comm_, values, components)
-               : redist::resort_values(comm_, resort_indices_, values,
-                                       components, resort_n_changed_,
-                                       resort_kind_);
+  values = resort_plan_.resort(comm_, values, components);
 }
 
 void Fcs::resort_vec3(std::vector<domain::Vec3>& values) const {
   FCS_CHECK(last_resorted_,
             "resort_vec3: the last run did not return the changed order");
   ++resort_field_count_;
-  values = resort_plan_.valid()
-               ? resort_plan_.resort(comm_, values, 1)
-               : redist::resort_values(comm_, resort_indices_, values, 1,
-                                       resort_n_changed_, resort_kind_);
+  values = resort_plan_.resort(comm_, values, 1);
 }
 
 Fcs& Fcs::stage_floats(std::vector<double>& values, std::size_t components) {
@@ -579,35 +460,9 @@ ResortBatch& ResortBatch::add_vec3(std::vector<domain::Vec3>& values) {
   return *this;
 }
 
-void ResortBatch::run() {
-  if (fields_.empty()) return;
-  Fcs& fcs = *fcs_;
-  FCS_CHECK(fcs.last_resorted_,
-            "ResortBatch::run: the last run did not return the changed order");
-  if (!fcs.resort_plan_.valid()) {
-    // Fusion off: the legacy path, one full exchange per field.
-    for (const Field& f : fields_) {
-      switch (f.kind) {
-        case Kind::kFloats:
-          fcs.resort_floats(*static_cast<std::vector<double>*>(f.vec),
-                            f.components);
-          break;
-        case Kind::kInts:
-          fcs.resort_ints(*static_cast<std::vector<std::int64_t>*>(f.vec),
-                          f.components);
-          break;
-        case Kind::kVec3:
-          fcs.resort_vec3(*static_cast<std::vector<domain::Vec3>*>(f.vec));
-          break;
-      }
-    }
-    fields_.clear();
-    return;
-  }
-  fcs.resort_field_count_ += fields_.size();
-  redist::FusedBatch batch(fcs.comm_, fcs.resort_plan_.plan(),
-                           fcs.resort_plan_.placement());
-  for (const Field& f : fields_) {
+void ResortBatch::queue(redist::FusedBatch& batch,
+                        const std::vector<Field>& fields) {
+  for (const Field& f : fields) {
     switch (f.kind) {
       case Kind::kFloats: {
         auto* v = static_cast<std::vector<double>*>(f.vec);
@@ -626,6 +481,17 @@ void ResortBatch::run() {
       }
     }
   }
+}
+
+void ResortBatch::run() {
+  if (fields_.empty()) return;
+  Fcs& fcs = *fcs_;
+  FCS_CHECK(fcs.last_resorted_,
+            "ResortBatch::run: the last run did not return the changed order");
+  fcs.resort_field_count_ += fields_.size();
+  redist::FusedBatch batch(fcs.comm_, fcs.resort_plan_.plan(),
+                           fcs.resort_plan_.placement());
+  queue(batch, fields_);
   batch.execute();
   fields_.clear();
 }

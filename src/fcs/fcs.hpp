@@ -14,13 +14,16 @@
 //    caller's original particle order and distribution.
 //  * method B (opts.resort = true): the solver-specific order and
 //    distribution is returned (positions/charges arrays are REPLACED), and
-//    resort indices are kept so additional per-particle data can follow via
-//    resort_floats/resort_ints/resort_vec3. If any rank's changed particle
-//    count exceeds opts.max_local, the library falls back to restoring
-//    (query with last_run_resorted(), paper Sect. III-B).
+//    the run builds a resort plan from its resort indices, so additional
+//    per-particle data can follow via resort_floats/resort_ints/resort_vec3,
+//    a ResortBatch, or fields staged into the run - every one of them a plan
+//    apply. If any rank's changed particle count exceeds opts.max_local, the
+//    library falls back to restoring (query with last_run_resorted(), paper
+//    Sect. III-B).
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "fcs/solver.hpp"
@@ -38,9 +41,8 @@ class Fcs;
 
 /// Batches several per-particle fields onto the active resort plan so they
 /// travel in ONE fused exchange - a single multi-segment message per partner
-/// pair - instead of one full exchange per field. With fusion disabled
-/// (FCS_EXCHANGE_FUSE=0) run() falls back to the legacy per-field
-/// exchanges; results are bit-identical either way.
+/// pair - instead of one plan apply per field. Results are bit-identical
+/// either way.
 ///
 ///   fcs::ResortBatch batch = handle.resort_batch();
 ///   batch.add_vec3(particles.vel).add_vec3(particles.acc);
@@ -65,6 +67,10 @@ class ResortBatch {
     void* vec;
     std::size_t components;
   };
+  /// Add every field as one segment of `batch` (shared with the fields
+  /// staged into a run).
+  static void queue(redist::FusedBatch& batch,
+                    const std::vector<Field>& fields);
   Fcs* fcs_;
   std::vector<Field> fields_;
 };
@@ -87,17 +93,6 @@ void set_task_mode(int enabled);
 /// set_task_slabs(0 = back to the environment).
 std::size_t task_slabs();
 void set_task_slabs(std::size_t slabs);
-
-/// Is the columnar particle store coupling (src/store) enabled? Reads
-/// FCS_STORE once (default OFF; set to 1 to keep per-particle fields in a
-/// staged store::ParticleStore whose columns travel inside the solver's own
-/// redistribution exchange) unless overridden by set_store_mode(). Must be
-/// consistent across ranks. Results are bit-identical to the legacy
-/// staged-field path.
-bool store_enabled();
-
-/// Override the env knob: 1 = on, 0 = off, -1 = back to the environment.
-void set_store_mode(int enabled);
 
 struct RunOptions {
   bool resort = false;             // method B
@@ -163,8 +158,9 @@ class Fcs {
   std::size_t resort_particle_count() const { return resort_n_changed_; }
 
   /// fcs_resort_floats: move `components` doubles per original particle
-  /// into the changed order; `values` is replaced (resized to the changed
-  /// count). Only valid while last_run_resorted().
+  /// into the changed order through the run's resort plan; `values` is
+  /// replaced (resized to the changed count). Only valid while
+  /// last_run_resorted().
   void resort_floats(std::vector<double>& values, std::size_t components) const;
   /// fcs_resort_ints.
   void resort_ints(std::vector<std::int64_t>& values,
@@ -196,38 +192,46 @@ class Fcs {
   /// columns) travel WITH the run. When the solver's active path supports it
   /// the columns ride inside the solver's own redistribution alltoallv
   /// (SolveResult::fields_carried - no separate resort round at all);
-  /// otherwise they go through the same fused/legacy resort machinery as
-  /// stage_* fields. The store must hold exactly one row per local particle;
-  /// after a resorted run it holds the changed distribution's rows (the
-  /// position and key columns are NOT updated - refresh them from the
-  /// returned positions if needed). Staging is cleared by the run either
-  /// way; the store must stay alive until run() returns. Collective
-  /// symmetry: every rank stages a store with the same field layout.
+  /// otherwise they join the stage_* fields in the run's one fused batch
+  /// over the resort plan. If the run restores after the solver carried the
+  /// columns (capacity fallback), every row is sent home again. The store
+  /// must hold exactly one row per local particle; after a resorted run it
+  /// holds the changed distribution's rows (the position and key columns
+  /// are NOT updated - refresh them from the returned positions if needed).
+  /// Staging is cleared by the run either way; the store must stay alive
+  /// until run() returns. Collective symmetry: every rank stages a store
+  /// with the same field layout.
   Fcs& stage_store(store::ParticleStore& s);
   /// The store queued for the next run (null when none).
   store::ParticleStore* staged_store() const { return staged_store_; }
 
   /// The reusable exchange schedule of the last method-B run (invalid when
-  /// fusion is off or the last run restored). Exposed for tests and
-  /// benchmarks.
+  /// the last run restored). Exposed for tests and benchmarks.
   const redist::ResortPlan& resort_plan() const { return resort_plan_; }
 
  private:
   friend class ResortBatch;
+  /// Method-B resort prologue, shared by the phased and the overlapped
+  /// schedule: invert the origin indices into resort indices and build the
+  /// run's resort plan from them. Collective.
+  void build_resort_plan(const std::vector<std::uint64_t>& origin,
+                         std::size_t n_original, redist::ExchangeKind kind);
+  /// Everything that travels with the run, queued into one fused batch on
+  /// the resort plan: the staged fields, and the staged store's columns
+  /// unless the solver already carried them. Empty when nothing travels.
+  std::optional<redist::FusedBatch> run_batch(bool store_carried);
+
   mpi::Comm comm_;
   std::unique_ptr<Solver> solver_;
   std::unique_ptr<lb::Balancer> balancer_;
   std::unique_ptr<plan::Planner> planner_;
   domain::Box box_;  // kept for the planner's volume-based feasibility gate
   bool last_resorted_ = false;
-  std::size_t resort_n_original_ = 0;
   std::size_t resort_n_changed_ = 0;
-  std::vector<std::uint64_t> resort_indices_;
-  redist::ExchangeKind resort_kind_ = redist::ExchangeKind::kDense;
   redist::ResortPlan resort_plan_;
   // Fields the application resorted since the previous run (mutable: the
   // resort methods are const; the count only feeds the planner's cost
-  // model, where fused extra fields are marginal-cost).
+  // model, where extra fields are marginal-cost).
   mutable std::size_t resort_field_count_ = 0;
   // Fields queued by stage_* for the next run (see stage_floats).
   std::vector<ResortBatch::Field> staged_fields_;

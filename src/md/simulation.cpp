@@ -181,7 +181,7 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
   // Columnar store coupling (src/store): velocities, accelerations and the
   // extra payload live as store columns staged into every run; the legacy
   // vectors hold them otherwise. Initial values are identical either way.
-  const bool use_store = cfg.use_store || fcs::store_enabled();
+  const bool use_store = cfg.use_store;
   store::ParticleStore pstore;
 
   // Extra per-particle payload (see SimulationConfig::extra_vec3_fields):
@@ -369,6 +369,35 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
     obs::observe(o, "recover.ttr_s", ctx.now() - t_fail);
   };
 
+  // One fcs_run with every integrator field following the particles (Fig. 3
+  // lines 5 and 10-11). The store is staged into every run. Overlapped mode
+  // stages the vectors up front so the task-graph fcs_run exchanges them
+  // while the forces compute; otherwise they follow in one resort batch. A
+  // run that restores leaves them untouched either way. `handle` is read
+  // through the reference because recovery replaces it.
+  auto run_and_resort = [&]() {
+    const bool staged = !use_store && fcs::task_enabled() && ropts.resort;
+    if (staged) {
+      handle->stage_vec3(particles.vel).stage_vec3(particles.acc);
+      for (auto& e : extras) handle->stage_vec3(e);
+    }
+    if (use_store) handle->stage_store(pstore);
+    fcs::RunResult run =
+        handle->run(particles.pos, particles.q, phi, field, ropts);
+    if (run.resorted && !staged && !use_store) {
+      const double rb0 = ctx.now();
+      fcs::ResortBatch batch = handle->resort_batch();
+      batch.add_vec3(particles.vel).add_vec3(particles.acc);
+      for (auto& e : extras) batch.add_vec3(e);
+      batch.run();
+      // Field resorting is method-B redistribution work: account it with the
+      // run's resort phase (the staged paths do inside run).
+      run.times.resort += ctx.now() - rb0;
+      run.times.total += ctx.now() - rb0;
+    }
+    return run;
+  };
+
   bool pending_failure = false;
   for (;;) {
     try {
@@ -382,28 +411,7 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
         // Initial interactions (line 5 of Fig. 3).
         {
           obs::Span init_span(ctx, "md.init");
-          // Overlapped mode: stage the integrator fields up front so the
-          // task-graph fcs_run exchanges them while the forces compute; a
-          // run that restores leaves them untouched, same as resort_batch.
-          const bool staged =
-              !use_store && fcs::task_enabled() && ropts.resort;
-          if (staged) {
-            handle->stage_vec3(particles.vel).stage_vec3(particles.acc);
-            for (auto& e : extras) handle->stage_vec3(e);
-          }
-          if (use_store) handle->stage_store(pstore);
-          rr = handle->run(particles.pos, particles.q, phi, field, ropts);
-          if (rr.resorted && !staged && !use_store) {
-            const double rb0 = ctx.now();
-            fcs::ResortBatch batch = handle->resort_batch();
-            batch.add_vec3(particles.vel).add_vec3(particles.acc);
-            for (auto& e : extras) batch.add_vec3(e);
-            batch.run();
-            // Field resorting is method-B redistribution work: account it
-            // with the run's resort phase (the staged path does inside run).
-            rr.times.resort += ctx.now() - rb0;
-            rr.times.total += ctx.now() - rb0;
-          }
+          rr = run_and_resort();
           if (use_store) {
             const std::vector<Vec3> new_acc =
                 accelerations_from_field(particles.q, field);
@@ -461,22 +469,7 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
             (cfg.exploit_max_movement || plan_active) ? max_move : -1.0;
         move_span.end();
 
-        const bool staged = !use_store && fcs::task_enabled() && ropts.resort;
-        if (staged) {
-          handle->stage_vec3(particles.vel).stage_vec3(particles.acc);
-          for (auto& e : extras) handle->stage_vec3(e);
-        }
-        if (use_store) handle->stage_store(pstore);
-        rr = handle->run(particles.pos, particles.q, phi, field, ropts);
-        if (rr.resorted && !staged && !use_store) {
-          const double rb0 = ctx.now();
-          fcs::ResortBatch batch = handle->resort_batch();
-          batch.add_vec3(particles.vel).add_vec3(particles.acc);
-          for (auto& e : extras) batch.add_vec3(e);
-          batch.run();
-          rr.times.resort += ctx.now() - rb0;
-          rr.times.total += ctx.now() - rb0;
-        }
+        rr = run_and_resort();
         const std::vector<Vec3> new_acc =
             accelerations_from_field(particles.q, field);
         if (cfg.surrogate_motion) {

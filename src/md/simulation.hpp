@@ -81,10 +81,9 @@ struct SimulationConfig {
   /// (velocities, accelerations, extra payload) in a store::ParticleStore
   /// staged into every run, so they travel inside the solver's own
   /// redistribution exchange when the active path can carry them - instead
-  /// of the separate staged-field resort round. The FCS_STORE env knob (or
-  /// fcs::set_store_mode) enables this too. Physics results and the final
-  /// state checksum are bit-identical to the legacy path. Not compatible
-  /// with checkpointing (the blob covers the legacy arrays only).
+  /// of the separate staged-field resort round. Physics results and the
+  /// final state checksum are bit-identical to the vector path. Not
+  /// compatible with checkpointing (the blob covers the vector arrays only).
   bool use_store = false;
 };
 

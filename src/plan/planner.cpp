@@ -19,10 +19,8 @@ namespace {
 constexpr double kParticleBytes = 48.0;
 constexpr double kRestoreBytes = 40.0;
 constexpr double kResortBytes = 16.0;
-// One extra resorted field (Vec3-per-particle is the common case) and the
-// 4-byte position header each legacy per-field packet carries on top.
+// One extra resorted field (Vec3-per-particle is the common case).
 constexpr double kFieldBytes = 24.0;
-constexpr double kFieldHeaderBytes = 4.0;
 
 // Fraction of the in-order traffic that moves even when nothing moved
 // (splitter probes, boundary strips, ghost refresh).
@@ -163,7 +161,7 @@ void Planner::observe_bin(CostBin bin, double observed) {
 
 void Planner::build_features(double n_global, int nranks, double max_move,
                              bool in_order, double volume,
-                             double extra_fields, bool fused) {
+                             double extra_fields) {
   const double p = static_cast<double>(nranks);
   const double nbar = n_global / p;
   const double nlog = nbar * std::log2(nbar + 2.0);
@@ -185,14 +183,10 @@ void Planner::build_features(double n_global, int nranks, double max_move,
   // Restore/resort traffic is movement-bounded only when the input was in
   // solver order; a from-scratch sort scatters everything.
   const double finish_frac = in_order ? inorder_frac : 1.0;
-  // Extra resorted fields: fused they ride the ONE planned resort message
-  // per partner (known counts, no position headers), so only their payload
-  // bytes remain marginal cost. Legacy, every field repeats the full
-  // exchange - latency, counts transpose, and a per-element header.
-  const double resort_rounds = fused ? 1.0 : 1.0 + extra_fields;
-  const double field_bytes =
-      extra_fields * (kFieldBytes + (fused ? 0.0 : kFieldHeaderBytes));
-  const double resort_payload = kResortBytes + field_bytes;
+  // Extra resorted fields ride the ONE planned resort message per partner
+  // (known counts, no position headers), so only their payload bytes remain
+  // marginal cost.
+  const double resort_payload = kResortBytes + extra_fields * kFieldBytes;
 
   auto set = [&](CostBin bin, double dense_ranks, double dense_bytes,
                  double sparse_msgs, double sparse_bytes, double local_ops) {
@@ -205,11 +199,10 @@ void Planner::build_features(double n_global, int nranks, double max_move,
   set(CostBin::kSortInorderSparse, 0, 0, smsgs,
       sparse_frac * nbar * kParticleBytes, nlog);
   set(CostBin::kRestore, p, finish_frac * nbar * kRestoreBytes, 0, 0, nbar);
-  set(CostBin::kResortDense, resort_rounds * p,
-      finish_frac * nbar * resort_payload, 0, 0,
+  set(CostBin::kResortDense, p, finish_frac * nbar * resort_payload, 0, 0,
       (1.0 + extra_fields) * nbar);
-  set(CostBin::kResortSparse, 0, 0, resort_rounds * smsgs,
-      finish_frac * nbar * resort_payload, (1.0 + extra_fields) * nbar);
+  set(CostBin::kResortSparse, 0, 0, smsgs, finish_frac * nbar * resort_payload,
+      (1.0 + extra_fields) * nbar);
 }
 
 RedistPlan Planner::decide(const mpi::Comm& comm, const DecideInputs& in) {
@@ -229,7 +222,7 @@ RedistPlan Planner::decide(const mpi::Comm& comm, const DecideInputs& in) {
         static_cast<double>(in.n_local), mpi::OpSum{});
     const double max_move = comm.allreduce(in.max_move, mpi::OpMax{});
     build_features(n_global, comm.size(), max_move, in.input_in_solver_order,
-                   in.volume, in.extra_fields, in.fused_exchange);
+                   in.volume, in.extra_fields);
 
     const double sub =
         in.volume > 0.0 ? std::cbrt(in.volume / comm.size()) : 0.0;

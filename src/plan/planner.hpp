@@ -121,12 +121,9 @@ struct DecideInputs {
   double volume = 0.0;
   /// Additional per-particle fields the application resorted after the
   /// previous method-B run (velocities, accelerations, ...). Identical on
-  /// every rank because the resort calls are collective.
+  /// every rank because the resort calls are collective. They ride the ONE
+  /// planned resort message per partner, so only their payload bytes cost.
   double extra_fields = 0.0;
-  /// Fused exchange active (redist::fuse_enabled()): extra fields ride the
-  /// ONE planned message per partner instead of one full exchange each, so
-  /// their latency cost is zero and only their payload bytes remain.
-  bool fused_exchange = false;
 };
 
 /// Executed facts of the run the last decide() configured (this rank's
@@ -192,8 +189,7 @@ class Planner {
   };
 
   void build_features(double n_global, int nranks, double max_move,
-                      bool in_order, double volume, double extra_fields,
-                      bool fused);
+                      bool in_order, double volume, double extra_fields);
   double predict_bin(CostBin bin) const;
   void observe_bin(CostBin bin, double observed);
 

@@ -1,30 +1,8 @@
 #include "redist/exchange_plan.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace redist {
-
-namespace {
-
-int g_fuse_override = -1;
-
-bool env_fuse() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("FCS_EXCHANGE_FUSE");
-    return v == nullptr || v[0] == '\0' || v[0] != '0';
-  }();
-  return enabled;
-}
-
-}  // namespace
-
-bool fuse_enabled() {
-  if (g_fuse_override >= 0) return g_fuse_override != 0;
-  return env_fuse();
-}
-
-void set_exchange_fuse(int enabled) { g_fuse_override = enabled; }
 
 void ExchangePlan::set_recv_counts(std::vector<std::size_t> recv_counts) {
   FCS_CHECK(static_cast<int>(recv_counts.size()) == nranks_,

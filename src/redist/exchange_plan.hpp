@@ -41,14 +41,6 @@ namespace redist {
 
 enum class ExchangeKind { kDense, kSparse };
 
-/// Is the plan-fused exchange path enabled? Reads FCS_EXCHANGE_FUSE once
-/// (default ON; set to 0 for the legacy one-exchange-per-field path) unless
-/// overridden by set_exchange_fuse(). Must be consistent across ranks.
-bool fuse_enabled();
-
-/// Override the env knob: 1 = on, 0 = off, -1 = back to the environment.
-void set_exchange_fuse(int enabled);
-
 class ExchangePlan {
  public:
   ExchangePlan() = default;

@@ -1,6 +1,7 @@
 #include "redist/resort.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace redist {
 
@@ -90,16 +91,15 @@ std::vector<std::uint64_t> invert_origin_indices(
   return resort_indices;
 }
 
-void resort_values_bytes(const mpi::Comm& comm,
-                         const std::vector<std::uint64_t>& resort_indices,
-                         const std::byte* data, std::size_t item_bytes,
-                         std::size_t n_changed, ExchangeKind kind,
-                         std::vector<std::byte>& out) {
+void resort_rows(const mpi::Comm& comm,
+                 const std::vector<std::uint64_t>& indices,
+                 const std::byte* data, std::size_t item_bytes,
+                 std::size_t n_out, ExchangeKind kind, std::byte* out) {
   const int p = comm.size();
   const std::size_t elem_bytes = sizeof(std::uint32_t) + item_bytes;
 
   std::vector<std::size_t> send_bytes(static_cast<std::size_t>(p), 0);
-  for (std::uint64_t idx : resort_indices) {
+  for (std::uint64_t idx : indices) {
     const int r = index_rank(idx);
     FCS_CHECK(r >= 0 && r < p, "resort index names invalid rank " << r);
     send_bytes[static_cast<std::size_t>(r)] += elem_bytes;
@@ -111,8 +111,8 @@ void resort_values_bytes(const mpi::Comm& comm,
         send_bytes[static_cast<std::size_t>(d)];
   std::vector<std::byte> packed(offsets.back());
   std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < resort_indices.size(); ++i) {
-    const std::uint64_t idx = resort_indices[i];
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    const std::uint64_t idx = indices[i];
     std::size_t& c = cursor[static_cast<std::size_t>(index_rank(idx))];
     const std::uint32_t pos = index_pos(idx);
     std::memcpy(packed.data() + c, &pos, sizeof pos);
@@ -134,20 +134,19 @@ void resort_values_bytes(const mpi::Comm& comm,
         content_checksum(received.data(), received.size() / elem_bytes,
                          elem_bytes));
 
-  FCS_CHECK(received.size() == n_changed * elem_bytes,
-            "resort: expected " << n_changed << " packets, received "
+  FCS_CHECK(received.size() == n_out * elem_bytes,
+            "resort: expected " << n_out << " packets, received "
                                 << received.size() / elem_bytes);
-  out.resize(n_changed * item_bytes);
-  std::vector<char> filled(n_changed, 0);
+  std::vector<char> filled(n_out, 0);
   for (std::size_t off = 0; off < received.size(); off += elem_bytes) {
     std::uint32_t pos = 0;
     std::memcpy(&pos, received.data() + off, sizeof pos);
-    FCS_CHECK(pos < n_changed, "resort: target position " << pos
-                  << " out of range " << n_changed);
+    FCS_CHECK(pos < n_out, "resort: target position " << pos
+                  << " out of range " << n_out);
     FCS_CHECK(!filled[pos], "resort: duplicate packet for position " << pos);
     filled[pos] = 1;
-    std::memcpy(out.data() + pos * item_bytes,
-                received.data() + off + sizeof pos, item_bytes);
+    std::memcpy(out + pos * item_bytes, received.data() + off + sizeof pos,
+                item_bytes);
   }
 }
 

@@ -6,13 +6,15 @@
 // reordering it. Method A uses the origin indices to restore the original
 // order and distribution. Method B instead INVERTS them into RESORT INDICES
 // - for every original particle, the rank and position it ended up at - and
-// hands those to the application so that additional per-particle data
-// (velocities, accelerations) can follow the particles with
-// fcs_resort_floats/ints (implemented here as resort_values).
+// builds a ResortPlan from them once per run, so that additional
+// per-particle data (velocities, accelerations) can follow the particles:
+// the paper's fcs_resort_floats/ints is a plan apply (fcs::Fcs). The
+// index-addressed row exchange (resort_rows / resort_values) serves one-off
+// moves without a plan, e.g. sending carried store columns home.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "redist/atasp.hpp"
@@ -92,7 +94,7 @@ std::vector<std::uint64_t> invert_origin_indices(
 /// ascending (rank, pos) is exactly plan slot order. Every subsequent field
 /// rides the plan's known-counts exchange (or a FusedBatch), skipping the
 /// per-field counts transpose / NBX barrier AND the 4-byte per-element
-/// position header of the legacy resort_values packets.
+/// position header of the index-addressed resort_values packets.
 class ResortPlan {
  public:
   ResortPlan() = default;
@@ -133,23 +135,21 @@ class ResortPlan {
   bool valid_ = false;
 };
 
-/// Byte-generic twin of resort_values for the particle store's untyped
-/// columns: one `item_bytes` row per original particle instead of
-/// `components` values of T. The packet layout (4-byte position header +
-/// payload) and the exchange are exactly those of resort_values, so for any
-/// T with components * sizeof(T) == item_bytes the result bytes are
-/// identical. `out` is resized to n_changed rows.
-void resort_values_bytes(const mpi::Comm& comm,
-                         const std::vector<std::uint64_t>& resort_indices,
-                         const std::byte* data, std::size_t item_bytes,
-                         std::size_t n_changed, ExchangeKind kind,
-                         std::vector<std::byte>& out);
+/// Index-addressed row exchange: row i of `data` (`item_bytes` bytes) moves
+/// to rank index_rank(indices[i]), position index_pos(indices[i]), in a
+/// packet with a 4-byte position header. `out` must hold n_out rows; every
+/// one of them must be named exactly once across the communicator.
+void resort_rows(const mpi::Comm& comm,
+                 const std::vector<std::uint64_t>& indices,
+                 const std::byte* data, std::size_t item_bytes,
+                 std::size_t n_out, ExchangeKind kind, std::byte* out);
 
-/// fcs_resort_floats / fcs_resort_ints: move additional per-particle data to
-/// the changed order and distribution. `resort_indices[i]` names the target
-/// (rank, position) of original particle i; `data` holds `components` values
-/// per original particle; the result holds `components` values for each of
-/// the `n_changed` particles now on this rank.
+/// fcs_resort_floats / fcs_resort_ints without a plan: move additional
+/// per-particle data to the changed order and distribution.
+/// `resort_indices[i]` names the target (rank, position) of original
+/// particle i; `data` holds `components` values per original particle; the
+/// result holds `components` values for each of the `n_changed` particles
+/// now on this rank.
 template <class T>
 std::vector<T> resort_values(const mpi::Comm& comm,
                              const std::vector<std::uint64_t>& resort_indices,
@@ -160,59 +160,11 @@ std::vector<T> resort_values(const mpi::Comm& comm,
             "resort: data size " << data.size() << " != " << components
                                  << " components x " << resort_indices.size()
                                  << " particles");
-  const int p = comm.size();
-  const std::size_t elem_bytes = sizeof(std::uint32_t) + components * sizeof(T);
-
-  std::vector<std::size_t> send_bytes(static_cast<std::size_t>(p), 0);
-  for (std::uint64_t idx : resort_indices) {
-    const int r = index_rank(idx);
-    FCS_CHECK(r >= 0 && r < p, "resort index names invalid rank " << r);
-    send_bytes[static_cast<std::size_t>(r)] += elem_bytes;
-  }
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(p) + 1, 0);
-  for (int d = 0; d < p; ++d)
-    offsets[static_cast<std::size_t>(d) + 1] =
-        offsets[static_cast<std::size_t>(d)] + send_bytes[static_cast<std::size_t>(d)];
-  std::vector<std::byte> packed(offsets.back());
-  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < resort_indices.size(); ++i) {
-    const std::uint64_t idx = resort_indices[i];
-    std::size_t& c = cursor[static_cast<std::size_t>(index_rank(idx))];
-    const std::uint32_t pos = index_pos(idx);
-    std::memcpy(packed.data() + c, &pos, sizeof pos);
-    std::memcpy(packed.data() + c + sizeof pos, data.data() + i * components,
-                components * sizeof(T));
-    c += elem_bytes;
-  }
-
-  std::vector<std::size_t> recv_bytes;
-  std::vector<std::byte> received =
-      kind == ExchangeKind::kDense
-          ? comm.alltoallv_bytes(packed.data(), send_bytes, recv_bytes)
-          : comm.sparse_alltoallv_bytes(packed.data(), send_bytes, recv_bytes);
-  if (validation_enabled())
-    validate_exchange(
-        comm, "resort_values", packed.size() / elem_bytes,
-        content_checksum(packed.data(), packed.size() / elem_bytes, elem_bytes),
-        received.size() / elem_bytes,
-        content_checksum(received.data(), received.size() / elem_bytes,
-                         elem_bytes));
-
-  FCS_CHECK(received.size() == n_changed * elem_bytes,
-            "resort: expected " << n_changed << " packets, received "
-                                << received.size() / elem_bytes);
   std::vector<T> out(n_changed * components);
-  std::vector<char> filled(n_changed, 0);
-  for (std::size_t off = 0; off < received.size(); off += elem_bytes) {
-    std::uint32_t pos = 0;
-    std::memcpy(&pos, received.data() + off, sizeof pos);
-    FCS_CHECK(pos < n_changed, "resort: target position " << pos
-                  << " out of range " << n_changed);
-    FCS_CHECK(!filled[pos], "resort: duplicate packet for position " << pos);
-    filled[pos] = 1;
-    std::memcpy(out.data() + pos * components,
-                received.data() + off + sizeof pos, components * sizeof(T));
-  }
+  resort_rows(comm, resort_indices,
+              reinterpret_cast<const std::byte*>(data.data()),
+              components * sizeof(T), n_changed, kind,
+              reinterpret_cast<std::byte*>(out.data()));
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "store/particle_store.hpp"
 
 #include "domain/morton.hpp"
+#include "redist/resort.hpp"
 #include "support/error.hpp"
 
 namespace store {
@@ -94,19 +95,6 @@ void ParticleStore::stage_into(redist::FusedBatch& batch) {
   }
 }
 
-void ParticleStore::resort_payload(const mpi::Comm& comm,
-                                   const std::vector<std::uint64_t>& resort_indices,
-                                   std::size_t n_changed,
-                                   redist::ExchangeKind kind) {
-  std::vector<std::byte> out;
-  for (std::size_t id = 0; id < cols_.size(); ++id) {
-    if (id == kPos || id == kKey) continue;
-    redist::resort_values_bytes(comm, resort_indices, cols_[id]->buf.data(),
-                                cols_[id]->item_bytes, n_changed, kind, out);
-    cols_[id]->buf.swap(out);
-  }
-}
-
 void ParticleStore::restore_payload(const mpi::Comm& comm,
                                     const std::vector<std::uint64_t>& origin,
                                     std::size_t n_original,
@@ -114,8 +102,9 @@ void ParticleStore::restore_payload(const mpi::Comm& comm,
   std::vector<std::byte> out;
   for (std::size_t id = 0; id < cols_.size(); ++id) {
     if (id == kPos || id == kKey) continue;
-    redist::resort_values_bytes(comm, origin, cols_[id]->buf.data(),
-                                cols_[id]->item_bytes, n_original, kind, out);
+    out.resize(n_original * cols_[id]->item_bytes);
+    redist::resort_rows(comm, origin, cols_[id]->buf.data(),
+                        cols_[id]->item_bytes, n_original, kind, out.data());
     cols_[id]->buf.swap(out);
   }
 }

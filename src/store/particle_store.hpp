@@ -26,7 +26,6 @@
 
 #include "domain/box.hpp"
 #include "redist/exchange_plan.hpp"
-#include "redist/resort.hpp"
 #include "sortlib/carry.hpp"
 #include "store/field_registry.hpp"
 
@@ -107,15 +106,10 @@ class ParticleStore {
   /// cycle then reshapes the columns in place.
   void stage_into(redist::FusedBatch& batch);
 
-  /// Fuse-off fallback: move every payload column to the changed order with
-  /// one redist::resort_values_bytes exchange per column.
-  void resort_payload(const mpi::Comm& comm,
-                      const std::vector<std::uint64_t>& resort_indices,
-                      std::size_t n_changed, redist::ExchangeKind kind);
-
-  /// Undo a carried exchange (method-A / capacity fallback after the solver
-  /// already shipped the columns): send every payload row back to its origin
-  /// (rank, position). `origin` has one entry per current row.
+  /// Undo a carried exchange (capacity fallback after the solver already
+  /// shipped the columns): send every payload row back to its origin
+  /// (rank, position) with one redist::resort_rows exchange per column.
+  /// `origin` has one entry per current row.
   void restore_payload(const mpi::Comm& comm,
                        const std::vector<std::uint64_t>& origin,
                        std::size_t n_original, redist::ExchangeKind kind);

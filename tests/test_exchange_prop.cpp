@@ -1,12 +1,14 @@
 // Property tests for the redistribution layer (redist/exchange_plan.*):
 // deterministic randomized distribution functions drive the fused
-// ExchangePlan / FusedBatch path and the legacy one-exchange-per-field path
-// over the same data, asserting bit-identical results - including under
+// ExchangePlan / FusedBatch path and the one-exchange-per-field path over the
+// same data, asserting bit-identical results - including under
 // duplicate/ghost targets, empty ranks, self-only traffic, and all-to-one
-// hotspots - plus the supporting invariants: the distribution function is
-// evaluated exactly once per item, resort indices stay a valid inverse
-// permutation under ghost duplication, and steady-state fcs_run steps
-// allocate nothing in the exchange path (pool.alloc stops growing).
+// hotspots - and checking both against a sequential reference each rank
+// computes locally (every input is a pure function of seed, rank and item).
+// Supporting invariants: the distribution function is evaluated exactly once
+// per item, resort indices stay a valid inverse permutation under ghost
+// duplication, and steady-state fcs_run steps allocate nothing in the
+// exchange path (pool.alloc stops growing).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -95,6 +97,26 @@ void scenario_targets(Scenario s, int p, int rank, std::size_t i,
   }
 }
 
+// The three payload fields of one item: 1 x double, 3 x double (Vec3-like),
+// 2 x int64 - a pure function of (rank, item).
+struct ItemPayload {
+  double f1;
+  double f3[3];
+  std::int64_t i2[2];
+};
+
+ItemPayload item_payload(int rank, std::size_t i) {
+  const std::uint64_t h = item_hash(99, rank, i);
+  ItemPayload v;
+  v.f1 = static_cast<double>(h % 100000) * 1e-3;
+  for (int k = 0; k < 3; ++k)
+    v.f3[k] = static_cast<double>((h >> (8 * k)) & 0xffff);
+  v.i2[0] = static_cast<std::int64_t>(h);
+  v.i2[1] =
+      static_cast<std::int64_t>(rank) << 32 | static_cast<std::int64_t>(i);
+  return v;
+}
+
 template <class T>
 void expect_bytes_equal(const std::vector<T>& a, const std::vector<T>& b,
                         const char* what) {
@@ -145,14 +167,30 @@ TEST_P(ExchangeProp, FusedPathIsBitIdenticalToPerFieldLegacy) {
     std::vector<double> f1(n), f3(3 * n);
     std::vector<std::int64_t> i2(2 * n);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t h = item_hash(99, r, i);
-      f1[i] = static_cast<double>(h % 100000) * 1e-3;
-      for (int k = 0; k < 3; ++k)
-        f3[3 * i + static_cast<std::size_t>(k)] =
-            static_cast<double>((h >> (8 * k)) & 0xffff);
-      i2[2 * i] = static_cast<std::int64_t>(h);
-      i2[2 * i + 1] = static_cast<std::int64_t>(r) << 32 |
-                      static_cast<std::int64_t>(i);
+      const ItemPayload v = item_payload(r, i);
+      f1[i] = v.f1;
+      std::memcpy(&f3[3 * i], v.f3, sizeof v.f3);
+      std::memcpy(&i2[2 * i], v.i2, sizeof v.i2);
+    }
+
+    // Sequential reference, no exchange: this rank receives, for each source
+    // rank in ascending order and each of its items in ascending order, one
+    // copy per occurrence of this rank in the item's target list.
+    std::vector<double> want1, want3;
+    std::vector<std::int64_t> want2;
+    std::vector<int> targets;
+    for (int src = 0; src < p; ++src) {
+      for (std::size_t i = 0; i < scenario_items(scenario, src); ++i) {
+        targets.clear();
+        scenario_targets(scenario, p, src, i, targets);
+        const ItemPayload v = item_payload(src, i);
+        for (const int target : targets) {
+          if (target != r) continue;
+          want1.push_back(v.f1);
+          want3.insert(want3.end(), v.f3, v.f3 + 3);
+          want2.insert(want2.end(), v.i2, v.i2 + 2);
+        }
+      }
     }
 
     // Legacy reference: one fine-grained exchange per field (item structs).
@@ -186,15 +224,20 @@ TEST_P(ExchangeProp, FusedPathIsBitIdenticalToPerFieldLegacy) {
     const std::vector<std::int64_t> a2 =
         plan.apply<std::int64_t>(c, i2.data(), 2);
     ASSERT_EQ(a1.size(), ref1.size());
-    EXPECT_EQ(std::memcmp(a1.data(), ref1.data(), a1.size() * sizeof(double)),
-              0);
     ASSERT_EQ(a3.size(), 3 * ref3.size());
-    EXPECT_EQ(std::memcmp(a3.data(), ref3.data(), a3.size() * sizeof(double)),
-              0);
     ASSERT_EQ(a2.size(), 2 * ref2.size());
-    EXPECT_EQ(
-        std::memcmp(a2.data(), ref2.data(), a2.size() * sizeof(std::int64_t)),
-        0);
+    if (!a1.empty()) {  // memcmp must not see the null data() of empty vectors
+      EXPECT_EQ(
+          std::memcmp(a1.data(), ref1.data(), a1.size() * sizeof(double)), 0);
+      EXPECT_EQ(
+          std::memcmp(a3.data(), ref3.data(), a3.size() * sizeof(double)), 0);
+      EXPECT_EQ(std::memcmp(a2.data(), ref2.data(),
+                            a2.size() * sizeof(std::int64_t)),
+                0);
+    }
+    expect_bytes_equal(a1, want1, "plan f1 vs sequential reference");
+    expect_bytes_equal(a3, want3, "plan f3 vs sequential reference");
+    expect_bytes_equal(a2, want2, "plan i2 vs sequential reference");
 
     // Fused path: all three fields in ONE message per partner. Outputs alias
     // the inputs, like the fcs resort batch does.
@@ -208,6 +251,9 @@ TEST_P(ExchangeProp, FusedPathIsBitIdenticalToPerFieldLegacy) {
     expect_bytes_equal(g1, a1, "fused f1");
     expect_bytes_equal(g3, a3, "fused f3");
     expect_bytes_equal(g2, a2, "fused i2");
+    expect_bytes_equal(g1, want1, "fused f1 vs sequential reference");
+    expect_bytes_equal(g3, want3, "fused f3 vs sequential reference");
+    expect_bytes_equal(g2, want2, "fused i2 vs sequential reference");
 
     // Conservation across the communicator.
     const auto slots = c.allreduce(
@@ -298,8 +344,9 @@ TEST(ExchangeProp, DistributionFunctionRunsExactlyOncePerItem) {
 // Ghost duplication in the primary exchange must not corrupt the resort
 // machinery: the owned copies' origin indices invert into a valid
 // permutation, the zero-communication ResortPlan accepts them, and both the
-// per-field plan resort and the fused batch reproduce the legacy
-// resort_values bytes.
+// per-field plan resort and the fused batch reproduce the index-addressed
+// resort_values bytes - and the sequential reference: the value at current
+// position j is the field value of original particle origin[j].
 TEST_P(ExchangeProp, ResortIndicesStayInversePermutationUnderGhosts) {
   const auto [p, kind, scenario] = GetParam();
   if (scenario != Scenario::kRandomGhosts) GTEST_SKIP();
@@ -342,14 +389,30 @@ TEST_P(ExchangeProp, ResortIndicesStayInversePermutationUnderGhosts) {
     ASSERT_EQ(rp.n_changed(), origin_of_current.size());
 
     // Every original particle names exactly one target, and round-tripping a
-    // field through the plan matches the legacy per-field resort bitwise.
+    // field through the plan matches the index-addressed resort bitwise.
+    // field_value(src, i, k): component k of original particle i on `src`.
+    auto field_value = [](int src, std::size_t i, std::size_t k) {
+      return static_cast<double>(item_hash(32, src, 2 * i + k)) * 1e-6;
+    };
     std::vector<double> field(2 * n);
     for (std::size_t i = 0; i < field.size(); ++i)
-      field[i] = static_cast<double>(item_hash(32, r, i)) * 1e-6;
+      field[i] = field_value(r, i / 2, i % 2);
+    // Sequential reference for the resorted field, from the origin indices
+    // alone.
+    std::vector<double> want(2 * origin_of_current.size());
+    for (std::size_t j = 0; j < origin_of_current.size(); ++j)
+      for (std::size_t k = 0; k < 2; ++k)
+        want[2 * j + k] =
+            field_value(redist::index_rank(origin_of_current[j]),
+                        redist::index_pos(origin_of_current[j]), k);
+    std::vector<double> want_b(origin_of_current.size());
+    for (std::size_t j = 0; j < want_b.size(); ++j) want_b[j] = want[2 * j + 1];
     const std::vector<double> legacy = redist::resort_values(
         c, resort_indices, field, 2, rp.n_changed(), kind);
     const std::vector<double> planned = rp.resort(c, field, 2);
     expect_bytes_equal(planned, legacy, "resort plan vs resort_values");
+    expect_bytes_equal(legacy, want, "resort_values vs sequential reference");
+    expect_bytes_equal(planned, want, "resort plan vs sequential reference");
 
     std::vector<double> fused = field;
     std::vector<double> field_b(n);
@@ -363,6 +426,9 @@ TEST_P(ExchangeProp, ResortIndicesStayInversePermutationUnderGhosts) {
     batch.execute();
     expect_bytes_equal(fused, legacy, "fused resort field 1");
     expect_bytes_equal(fused_b, legacy_b, "fused resort field 2");
+    expect_bytes_equal(fused, want, "fused field 1 vs sequential reference");
+    expect_bytes_equal(fused_b, want_b,
+                       "fused field 2 vs sequential reference");
 
     // The placement really is a permutation: every current element claimed.
     std::vector<char> hit(rp.n_changed(), 0);

@@ -11,6 +11,7 @@
 #include "sim/network.hpp"
 #include "pm/ewald.hpp"
 #include "spmd_test_util.hpp"
+#include "store/particle_store.hpp"
 #include "support/rng.hpp"
 
 using domain::Box;
@@ -50,6 +51,16 @@ void deal(const TestSystem& s, const mpi::Comm& c, std::vector<Vec3>& pos,
     if (static_cast<int>(i % c.size()) != c.rank()) continue;
     pos.push_back(s.pos[i]);
     q.push_back(s.q[i]);
+  }
+}
+
+template <class T>
+void expect_bits_equal(const std::vector<T>& a, const std::vector<T>& b,
+                       const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  if (!a.empty()) {
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0)
+        << what;
   }
 }
 
@@ -190,6 +201,75 @@ TEST(FcsMethods, CapacityFallbackRestores) {
     std::vector<double> extra(pos.size(), 1.0);
     EXPECT_THROW(handle.resort_floats(extra, 1), fcs::Error);
   });
+}
+
+// Capacity fallback after the solver already carried a staged store's
+// columns into its order: the run restores, so every store row must come
+// home again (ParticleStore::restore_payload through fcs_run), while a staged
+// vector stays untouched and the resort machinery refuses.
+TEST(FcsMethods, CapacityFallbackSendsCarriedStoreHome) {
+  const TestSystem sys = make_system(5);
+  auto rec = std::make_shared<obs::Recorder>();
+  sim::EngineConfig cfg;
+  cfg.nranks = 4;
+  cfg.recorder = rec;
+  sim::run_spmd(cfg, [&sys](sim::RankCtx& ctx) {
+    mpi::Comm c = mpi::Comm::world(ctx);
+    std::vector<Vec3> pos;
+    std::vector<double> q;
+    deal(sys, c, pos, q);
+    const std::size_t n = pos.size();
+
+    store::ParticleStore st;
+    const std::size_t tag_id =
+        st.register_field("tag", store::FieldType::kI64, 2);
+    st.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      st.vel()[i] = Vec3{pos[i].y, pos[i].z, pos[i].x};
+      st.acc()[i] = pos[i] * 2.0;
+      st.view<std::int64_t>(tag_id)[2 * i] = c.rank();
+      st.view<std::int64_t>(tag_id)[2 * i + 1] = static_cast<std::int64_t>(i);
+    }
+    std::vector<std::vector<std::byte>> before;
+    for (std::size_t id = 0; id < st.field_count(); ++id)
+      before.emplace_back(st.raw(id), st.raw(id) + n * st.item_bytes(id));
+    std::vector<double> staged(n);
+    for (std::size_t i = 0; i < n; ++i) staged[i] = pos[i].x + 1e-3 * i;
+    const std::vector<double> staged_before = staged;
+
+    fcs::Fcs handle(c, "pm");
+    handle.set_common(sys.box);
+    handle.set_accuracy(1e-2);
+    handle.tune(pos, q);
+    handle.stage_floats(staged, 1).stage_store(st);
+    std::vector<double> phi;
+    std::vector<Vec3> field;
+    fcs::RunOptions opts;
+    opts.resort = true;
+    opts.max_local = 1;  // too small on purpose
+    const fcs::RunResult rr = handle.run(pos, q, phi, field, opts);
+
+    EXPECT_FALSE(rr.resorted);
+    EXPECT_FALSE(handle.last_run_resorted());
+    EXPECT_FALSE(handle.resort_plan().valid());
+    EXPECT_THROW(handle.resort_batch(), fcs::Error);
+    EXPECT_EQ(handle.staged_store(), nullptr);
+    EXPECT_EQ(handle.staged_field_count(), 0u);
+    expect_bits_equal(staged, staged_before, "staged vector");
+    ASSERT_EQ(st.size(), n);
+    for (std::size_t id = 0; id < st.field_count(); ++id) {
+      if (id == store::ParticleStore::kPos || id == store::ParticleStore::kKey)
+        continue;  // not payload: never travels
+      EXPECT_EQ(std::memcmp(st.raw(id), before[id].data(), before[id].size()),
+                0)
+          << "store column " << st.registry().spec(id).name;
+    }
+  });
+  // The solver really carried the columns before the fallback sent them home.
+  const auto reduced = rec->reduce_counters();
+  const auto carried = reduced.find("redist.carry.exchanges");
+  ASSERT_NE(carried, reduced.end());
+  EXPECT_GT(carried->second.totals.sum, 0.0);
 }
 
 TEST(FcsMethods, MethodAandBSamePhysics) {
@@ -353,16 +433,6 @@ TaskRunOut run_staged(const TestSystem& sys, mpi::Comm& c,
   return o;
 }
 
-template <class T>
-void expect_bits_equal(const std::vector<T>& a, const std::vector<T>& b,
-                       const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  if (!a.empty()) {
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0)
-        << what;
-  }
-}
-
 }  // namespace
 
 TEST(FcsTaskOverlap, BitIdenticalToPhasedOnEveryCorner) {
@@ -436,6 +506,170 @@ TEST(FcsTaskOverlap, FallsBackToPhasedForUnstagedSolver) {
     expect_bits_equal(t.phi, phased.phi, "potentials");
     expect_bits_equal(t.vel, phased.vel, "staged vec3");
   });
+}
+
+// ---------------------------------------------------------------------------
+// Every way a per-particle field can follow the particles through method B -
+// resort_vec3, a ResortBatch, staged vectors and a staged store's columns -
+// used together in the same runs, under the phased and the overlapped
+// schedule. Each payload is a function of the particle's position before
+// the run, so afterwards every value must equal the tag of the position the
+// particle comes back with. The first run lets the solver carry the store's
+// columns inside its dense exchange; the second (fixed:B+mm, merge sort,
+// neighborhood exchange) cannot carry, so the columns share the run's one
+// batch with the staged vectors.
+
+namespace {
+
+Vec3 tag_vec3(const Vec3& v, int route) {
+  return Vec3{v.x + route, v.y * (route + 2), v.z - 0.5 * route};
+}
+double tag_f64(const Vec3& v, int route) {
+  return v.x * 1e4 + v.y * 1e2 + v.z + 1e6 * route;
+}
+std::int64_t tag_i64(const Vec3& v, int route) {
+  return static_cast<std::int64_t>(std::floor(v.x * 1e6)) * 1000 +
+         static_cast<std::int64_t>(std::floor(v.z * 1e2)) * 10 + route;
+}
+
+void expect_every_field_follows(mpi::Comm& c, const TestSystem& sys,
+                                const std::string& solver) {
+  std::vector<Vec3> pos;
+  std::vector<double> q;
+  deal(sys, c, pos, q);
+
+  fcs::Fcs handle(c, solver);
+  handle.set_common(sys.box);
+  handle.set_accuracy(1e-3);
+  if (solver == "pm") {
+    // Skinny decompositions (3x1x1, 7x1x1): the ghost halo must fit one
+    // subdomain, as in run_staged.
+    auto& pm_solver = dynamic_cast<pm::PmSolver&>(handle.solver());
+    const std::vector<int> dims = mpi::dims_create(c.size(), 3);
+    pm_solver.set_cutoff(std::min(4.8, 0.9 * sys.box.extent().x / dims[0]));
+  }
+  handle.tune(pos, q);
+
+  store::ParticleStore st;
+  const std::size_t f64_id =
+      st.register_field("tagf", store::FieldType::kF64, 2);
+  std::vector<Vec3> rv, bv, sv;
+  std::vector<double> bf, sf;
+  std::vector<std::int64_t> bi, si;
+  std::vector<double> phi;
+  std::vector<Vec3> field;
+  fcs::RunOptions opts;
+  opts.resort = true;
+  opts.modeled_compute = solver == "fmm";  // periodic box: see run_staged
+  fcs::Rng rng = fcs::Rng(91).stream(static_cast<std::uint64_t>(c.rank()));
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    if (obs::RankObs* const o = c.ctx().obs(); o != nullptr) o->set_epoch(run);
+    if (run == 1) {
+      for (Vec3& x : pos)
+        x = sys.box.wrap(Vec3{x.x + rng.uniform(-0.01, 0.01),
+                              x.y + rng.uniform(-0.01, 0.01),
+                              x.z + rng.uniform(-0.01, 0.01)});
+      opts.max_particle_move = 0.02;
+      handle.set_plan(plan::parse_plan_spec("fixed:B+mm,merge,neighborhood"));
+    }
+    const std::size_t n = pos.size();
+    rv.resize(n);
+    bv.resize(n);
+    sv.resize(n);
+    bf.resize(2 * n);
+    sf.resize(n);
+    bi.resize(n);
+    si.resize(2 * n);
+    st.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      rv[i] = tag_vec3(pos[i], 0);
+      bv[i] = tag_vec3(pos[i], 1);
+      bf[2 * i] = tag_f64(pos[i], 2);
+      bf[2 * i + 1] = tag_f64(pos[i], 3);
+      bi[i] = tag_i64(pos[i], 4);
+      sv[i] = tag_vec3(pos[i], 5);
+      sf[i] = tag_f64(pos[i], 6);
+      si[2 * i] = tag_i64(pos[i], 7);
+      si[2 * i + 1] = tag_i64(pos[i], 8);
+      st.vel()[i] = tag_vec3(pos[i], 9);
+      st.acc()[i] = tag_vec3(pos[i], 10);
+      st.view<double>(f64_id)[2 * i] = tag_f64(pos[i], 11);
+      st.view<double>(f64_id)[2 * i + 1] = tag_f64(pos[i], 12);
+    }
+    handle.stage_vec3(sv).stage_floats(sf, 1).stage_ints(si, 2);
+    handle.stage_store(st);
+    const fcs::RunResult rr = handle.run(pos, q, phi, field, opts);
+    ASSERT_TRUE(rr.resorted);
+    handle.resort_vec3(rv);
+    fcs::ResortBatch batch = handle.resort_batch();
+    batch.add_vec3(bv).add_floats(bf, 2).add_ints(bi, 1);
+    batch.run();
+
+    const std::size_t m = pos.size();
+    ASSERT_EQ(m, handle.resort_particle_count());
+    ASSERT_EQ(st.size(), m);
+    ASSERT_EQ(rv.size(), m);
+    ASSERT_EQ(bv.size(), m);
+    ASSERT_EQ(bf.size(), 2 * m);
+    ASSERT_EQ(bi.size(), m);
+    ASSERT_EQ(sv.size(), m);
+    ASSERT_EQ(sf.size(), m);
+    ASSERT_EQ(si.size(), 2 * m);
+    std::size_t wrong = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      const Vec3& x = pos[j];
+      wrong += !(rv[j] == tag_vec3(x, 0)) + !(bv[j] == tag_vec3(x, 1)) +
+               (bf[2 * j] != tag_f64(x, 2)) +
+               (bf[2 * j + 1] != tag_f64(x, 3)) + (bi[j] != tag_i64(x, 4)) +
+               !(sv[j] == tag_vec3(x, 5)) + (sf[j] != tag_f64(x, 6)) +
+               (si[2 * j] != tag_i64(x, 7)) +
+               (si[2 * j + 1] != tag_i64(x, 8)) +
+               !(st.vel()[j] == tag_vec3(x, 9)) +
+               !(st.acc()[j] == tag_vec3(x, 10)) +
+               (st.view<double>(f64_id)[2 * j] != tag_f64(x, 11)) +
+               (st.view<double>(f64_id)[2 * j + 1] != tag_f64(x, 12));
+    }
+    EXPECT_EQ(wrong, 0u) << "values not on their particle (rank " << c.rank()
+                         << ", " << m << " particles)";
+  }
+}
+
+}  // namespace
+
+TEST(FcsFieldRoutes, EveryFieldLandsOnItsParticle) {
+  const TestSystem sys = make_system(5);
+  for (const int p : {3, 7}) {
+    for (const char* solver : {"pm", "fmm"}) {
+      for (const int task : {0, 1}) {
+        SCOPED_TRACE(std::string(solver) + " p=" + std::to_string(p) +
+                     (task ? " overlapped" : " phased"));
+        auto rec = std::make_shared<obs::Recorder>();
+        sim::EngineConfig cfg;
+        cfg.nranks = p;
+        cfg.network = std::make_shared<sim::SwitchedNetwork>();
+        cfg.recorder = rec;
+        cfg.fault_plan = sim::FaultPlan::from_env();
+        fcs::set_task_mode(task);
+        fcs::set_task_slabs(3);
+        sim::run_spmd(cfg, [&sys, solver](sim::RankCtx& ctx) {
+          mpi::Comm c = mpi::Comm::world(ctx);
+          expect_every_field_follows(c, sys, solver);
+        });
+        fcs::set_task_mode(-1);
+        fcs::set_task_slabs(0);
+        // The solver carried the store's columns in the first run only.
+        const auto reduced = rec->reduce_counters();
+        const auto carried = reduced.find("redist.carry.exchanges");
+        ASSERT_NE(carried, reduced.end());
+        const auto& by_epoch = carried->second.by_epoch;
+        EXPECT_TRUE(by_epoch.count(0) == 1 && by_epoch.at(0).sum > 0.0);
+        EXPECT_TRUE(by_epoch.count(1) == 0 || by_epoch.at(1).sum == 0.0);
+        const auto tasks = reduced.find("fcs.task.runs");
+        EXPECT_EQ(tasks != reduced.end(), task == 1);
+      }
+    }
+  }
 }
 
 }  // namespace
