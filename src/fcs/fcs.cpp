@@ -168,8 +168,7 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
   }
 
   // --- Solve: phased, or overlapped through the task graph ------------------
-  const bool use_task =
-      task_enabled() && want_resort && solver_->supports_staged_solve();
+  const bool use_task = task_enabled() && want_resort;
   SolveResult solved;
   PhaseTimes task_times;       // resort-machinery time of the overlapped path
   bool task_resorted = false;  // the graph already ran the resort machinery
@@ -237,7 +236,8 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
       task_resorted = true;
     }
   } else {
-    solved = solver_->solve(comm_, positions, charges, sopts);
+    solved = solver_->finish_solve(
+        comm_, solver_->begin_solve(comm_, positions, charges, sopts), sopts);
   }
 
   // Load-balancing cost model: feed the balancer this epoch's measured

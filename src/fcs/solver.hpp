@@ -190,11 +190,12 @@ struct SolveResult {
   PhaseTimes times;
 };
 
-/// Partial state of a staged solve, produced by Solver::begin_solve after the
-/// sort phase and consumed by Solver::finish_solve for the compute phase. The
-/// fcs layer uses the window between the two calls to overlap method-B resort
-/// machinery (origin inversion, plan build, staged field exchanges) with the
-/// force computation via the task-graph executor (src/task).
+/// Partial state of a solve, produced by Solver::begin_solve after the sort
+/// phase and consumed by Solver::finish_solve for the compute phase. The
+/// phased fcs_run calls the two back to back; the overlapped one uses the
+/// window between them to overlap method-B resort machinery (origin
+/// inversion, plan build, fused field exchange) with the force computation
+/// via the task-graph executor (src/task).
 ///
 /// `partial` carries everything that is known after the sort phase: origin,
 /// resort_kind, sort_used/exchange_used and times.sort. positions/charges/
@@ -219,42 +220,23 @@ class Solver {
                     const std::vector<domain::Vec3>& positions,
                     const std::vector<double>& charges) = 0;
 
-  /// Compute the interactions. Collective.
-  virtual SolveResult solve(const mpi::Comm& comm,
-                            const std::vector<domain::Vec3>& positions,
-                            const std::vector<double>& charges,
-                            const SolveOptions& options) = 0;
-
-  /// True when begin_solve/finish_solve are implemented. The pair is
-  /// equivalent to solve(): begin runs the sort phase (collective), finish
-  /// runs the compute phase (collective) - results are bit-identical to the
-  /// single call; only the virtual-time attribution of work interleaved
-  /// between the two calls differs.
-  virtual bool supports_staged_solve() const { return false; }
-
-  /// First half of a staged solve: reorder/redistribute the particles into
-  /// the solver's decomposition and return the partial result (origin,
-  /// resort_kind, times.sort) plus the private compute inputs. Collective.
+  /// A solve is the pair begin_solve + finish_solve. Work interleaved
+  /// between the two calls changes only the virtual-time attribution, never
+  /// the results.
+  ///
+  /// First half: reorder/redistribute the particles into the solver's
+  /// decomposition and return the partial result (origin, resort_kind,
+  /// times.sort) plus the private compute inputs. Collective.
   virtual SolveStage begin_solve(const mpi::Comm& comm,
                                  const std::vector<domain::Vec3>& positions,
                                  const std::vector<double>& charges,
-                                 const SolveOptions& options) {
-    (void)comm;
-    (void)positions;
-    (void)charges;
-    (void)options;
-    FCS_CHECK(false, name() << " does not support staged solves");
-  }
+                                 const SolveOptions& options) = 0;
 
-  /// Second half: force computation on the stage produced by begin_solve,
-  /// completing potentials/field/positions/charges/times. Collective.
+  /// Second half: compute the interactions on the stage produced by
+  /// begin_solve, completing potentials/field/positions/charges/times.
+  /// Collective.
   virtual SolveResult finish_solve(const mpi::Comm& comm, SolveStage&& stage,
-                                   const SolveOptions& options) {
-    (void)comm;
-    (void)stage;
-    (void)options;
-    FCS_CHECK(false, name() << " does not support staged solves");
-  }
+                                   const SolveOptions& options) = 0;
 };
 
 }  // namespace fcs

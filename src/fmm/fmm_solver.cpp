@@ -56,14 +56,6 @@ void FmmSolver::tune(const mpi::Comm& comm,
   tuned_ = true;
 }
 
-fcs::SolveResult FmmSolver::solve(const mpi::Comm& comm,
-                                  const std::vector<domain::Vec3>& positions,
-                                  const std::vector<double>& charges,
-                                  const fcs::SolveOptions& options) {
-  return finish_solve(comm, begin_solve(comm, positions, charges, options),
-                      options);
-}
-
 fcs::SolveStage FmmSolver::begin_solve(const mpi::Comm& comm,
                                        const std::vector<domain::Vec3>& positions,
                                        const std::vector<double>& charges,

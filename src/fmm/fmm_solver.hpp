@@ -47,12 +47,6 @@ class FmmSolver final : public fcs::Solver {
             const std::vector<domain::Vec3>& positions,
             const std::vector<double>& charges) override;
 
-  fcs::SolveResult solve(const mpi::Comm& comm,
-                         const std::vector<domain::Vec3>& positions,
-                         const std::vector<double>& charges,
-                         const fcs::SolveOptions& options) override;
-
-  bool supports_staged_solve() const override { return true; }
   fcs::SolveStage begin_solve(const mpi::Comm& comm,
                               const std::vector<domain::Vec3>& positions,
                               const std::vector<double>& charges,
@@ -77,7 +71,7 @@ class FmmSolver final : public fcs::Solver {
     double charge;
     std::uint64_t key;
   };
-  /// Private payload of a staged solve: the sorted particles (compute input)
+  /// Private payload of a solve stage: the sorted particles (compute input)
   /// plus the communication regime the sort phase settled on.
   struct StageState {
     std::vector<FmmParticle> items;

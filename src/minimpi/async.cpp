@@ -1,9 +1,10 @@
-// The asynchronous progress engine: Request states for non-blocking
-// point-to-point and collectives.
+// The asynchronous progress engine behind mpi::Request: the one
+// non-blocking operation the library issues, the known-size sparse
+// exchange (Comm::isparse_alltoallv_bytes_known).
 //
-// Every state is a small deterministic step program over the SAME schedule
-// its blocking counterpart runs (binomial trees, direct known-partner
-// exchange, NBX), so the bytes moved, the combine order, and the received
+// It runs the SAME data phase as the blocking known-size exchanges
+// (Comm::post_known: self copy, eager sends to every non-empty partner,
+// receives in ascending partner order), so the bytes moved and the received
 // contents are bit-identical - the only difference is the virtual-time
 // accounting. Sends issue through sim::RankCtx::send_async, which charges
 // the payload copy and fabric injection to the rank's NIC timeline instead
@@ -12,10 +13,10 @@
 // completes "in the background" of whatever compute runs between polls, and
 // wait() pays only the residual arrival time that compute did not hide.
 //
-// Progress ordering is deterministic: each state advances a program counter
-// over a fixed step list, and wait() drains the remaining steps with
-// blocking receives in exactly the order the synchronous collective would
-// use, so clock advances are reproducible bit-for-bit across runs.
+// Progress ordering is deterministic: the state walks a fixed list of
+// expected partner messages, and wait() drains the rest with blocking
+// receives in exactly the order the blocking exchange uses, so clock
+// advances are reproducible bit-for-bit across runs.
 #include <cstring>
 #include <sstream>
 
@@ -26,164 +27,30 @@ namespace mpi {
 
 namespace detail {
 
+/// A known-partner exchange whose sends all went to the NIC at creation;
+/// what remains is consuming each expected partner message.
 struct AsyncState {
-  explicit AsyncState(const Comm& c) : comm(c) {}
-  virtual ~AsyncState() = default;
-
-  /// Advance the operation. With blocking == true the call must complete
-  /// (or throw); with false it consumes whatever has arrived and returns
-  /// whether the operation is done.
-  virtual bool progress(bool blocking) = 0;
-
-  /// A pending revocation aborts the request exactly like a blocking recv
-  /// would: the rank must fall into its recovery driver, not keep polling a
-  /// collective some participant already abandoned.
-  void check_revoked() const {
-    sim::RankCtx& ctx = comm.ctx();
-    if (!ctx.recovery_mode() && ctx.revoked()) {
-      std::ostringstream oss;
-      oss << "rank " << ctx.rank()
-          << ": communicator revoked while progressing an async request";
-      throw RankFailedError(-1, oss.str());
-    }
-  }
-
-  int comm_rank_of_world(int world) const {
-    return comm.comm_rank_of_world(world);
-  }
-
-  Comm comm;  // by value: keeps the group alive for the request's lifetime
-  Status status{};
-  bool done = false;
-};
-
-namespace {
-
-/// isend: the payload was captured and handed to the NIC at creation; the
-/// request completes when the NIC finishes injecting it.
-struct SendState final : AsyncState {
-  SendState(const Comm& c, double t) : AsyncState(c), done_time(t) {}
-
-  bool progress(bool blocking) override {
-    if (done) return true;
-    check_revoked();
-    sim::RankCtx& ctx = comm.ctx();
-    if (ctx.now() < done_time) {
-      if (!blocking) return false;
-      ctx.advance(done_time - ctx.now());
-    }
-    done = true;
-    return true;
-  }
-
-  double done_time;
-};
-
-/// irecv into a user buffer.
-struct RecvState final : AsyncState {
-  RecvState(const Comm& c) : AsyncState(c) {}
-
-  bool progress(bool blocking) override {
-    if (done) return true;
-    check_revoked();
-    sim::RankCtx& ctx = comm.ctx();
-    sim::RankCtx::RecvInfo info;
-    if (blocking) {
-      info = ctx.recv(world_src, sim_tag);
-    } else if (!ctx.try_recv(world_src, sim_tag, &info)) {
-      return false;
-    }
-    FCS_CHECK(info.payload.size() <= capacity,
-              "irecv buffer too small: message has " << info.payload.size()
-                  << " bytes, buffer holds " << capacity);
-    if (!info.payload.empty())
-      std::memcpy(buffer, info.payload.data(), info.payload.size());
-    status.source =
-        user_src == kAnySource ? comm_rank_of_world(info.src) : user_src;
-    status.tag = static_cast<int>(info.tag & 0x7fffffff);
-    status.bytes = info.payload.size();
-    done = true;
-    return true;
-  }
-
-  void* buffer = nullptr;
-  std::size_t capacity = 0;
-  int world_src = 0;
-  int user_src = 0;
-  std::int64_t sim_tag = 0;
-};
-
-/// iallreduce: the blocking allreduce's schedule (binomial reduce to rank 0,
-/// then binomial bcast) flattened into a step list over one accumulator.
-struct AllreduceState final : AsyncState {
-  struct Step {
-    enum Kind { kSendAcc, kRecvCombine, kRecvAcc } kind;
-    int world_peer;
-    std::uint64_t tag;
-  };
-
-  AllreduceState(const Comm& c) : AsyncState(c) {}
-
-  bool progress(bool blocking) override {
-    if (done) return true;
-    check_revoked();
-    sim::RankCtx& ctx = comm.ctx();
-    while (pc < steps.size()) {
-      const Step& s = steps[pc];
-      if (s.kind == Step::kSendAcc) {
-        ctx.send_async(s.world_peer, s.tag, acc.data(), acc.size());
-        ++pc;
-        continue;
-      }
-      sim::RankCtx::RecvInfo info;
-      if (blocking) {
-        info = ctx.recv(s.world_peer, static_cast<std::int64_t>(s.tag));
-      } else if (!ctx.try_recv(s.world_peer, static_cast<std::int64_t>(s.tag),
-                               &info)) {
-        return false;
-      }
-      FCS_CHECK(info.payload.size() == acc.size(),
-                "iallreduce size mismatch");
-      if (s.kind == Step::kRecvCombine) {
-        combine(acc.data(), info.payload.data(), count, op.get());
-        ctx.charge_ops(static_cast<double>(count));
-      } else if (!acc.empty()) {
-        std::memcpy(acc.data(), info.payload.data(), acc.size());
-      }
-      ++pc;
-    }
-    if (!acc.empty()) std::memcpy(out, acc.data(), acc.size());
-    status.bytes = acc.size();
-    done = true;
-    return true;
-  }
-
-  std::vector<Step> steps;
-  std::size_t pc = 0;
-  std::vector<std::byte> acc;
-  void* out = nullptr;
-  std::size_t count = 0;
-  Comm::CombineFn combine = nullptr;
-  std::shared_ptr<const void> op;
-};
-
-/// Known-partner exchange (dense or sparse): all sends went to the NIC at
-/// creation; what remains is consuming each expected partner message, in
-/// ascending partner order - the same order the blocking exchange receives
-/// in, so a wait() that has to block advances the clock identically.
-struct KnownExchangeState final : AsyncState {
   struct Pending {
     int world_src;
     std::size_t bytes;
     std::size_t offset;
   };
 
-  KnownExchangeState(const Comm& c) : AsyncState(c) {}
-
-  bool progress(bool blocking) override {
+  /// Advance the operation. With blocking == true the call must complete
+  /// (or throw); with false it consumes whatever has arrived and returns
+  /// whether the operation is done.
+  bool progress(bool blocking) {
     if (done) return true;
-    check_revoked();
     sim::RankCtx& ctx = comm.ctx();
+    // A pending revocation aborts the request exactly like a blocking recv
+    // would: the rank must fall into its recovery driver, not keep polling
+    // an exchange some participant already abandoned.
+    if (!ctx.recovery_mode() && ctx.revoked()) {
+      std::ostringstream oss;
+      oss << "rank " << ctx.rank()
+          << ": communicator revoked while progressing an async request";
+      throw RankFailedError(-1, oss.str());
+    }
     while (next < pending.size()) {
       const Pending& pd = pending[next];
       sim::RankCtx::RecvInfo info;
@@ -204,97 +71,16 @@ struct KnownExchangeState final : AsyncState {
     return true;
   }
 
+  Comm comm;  // by value: keeps the group alive for the request's lifetime
+  Status status{};
+  bool done = false;
   std::uint64_t tag = 0;
   std::byte* out = nullptr;
-  std::vector<Pending> pending;
+  std::vector<Pending> pending;  // ascending partner order
   std::size_t next = 0;
 };
 
-/// Sparse NBX with unknown counts: sends went out at creation; progress
-/// drives the dissemination barrier (the termination detector), then drains
-/// every message that reached the mailbox. Sends are eager, so once the
-/// barrier completes every incoming message is present.
-struct NbxExchangeState final : AsyncState {
-  struct BarrierStep {
-    int world_dst;
-    int world_src;
-    std::uint64_t tag;
-  };
-
-  NbxExchangeState(const Comm& c) : AsyncState(c) {}
-
-  bool progress(bool blocking) override {
-    if (done) return true;
-    check_revoked();
-    sim::RankCtx& ctx = comm.ctx();
-    while (pc < barrier.size()) {
-      const BarrierStep& s = barrier[pc];
-      if (!sent_token) {
-        char token = 0;
-        ctx.send_async(s.world_dst, s.tag, &token, 1);
-        sent_token = true;
-      }
-      sim::RankCtx::RecvInfo info;
-      if (blocking) {
-        info = ctx.recv(s.world_src, static_cast<std::int64_t>(s.tag));
-      } else if (!ctx.try_recv(s.world_src, static_cast<std::int64_t>(s.tag),
-                               &info)) {
-        return false;
-      }
-      sent_token = false;
-      ++pc;
-    }
-    // Drain: every partner message is in the mailbox now (eager sends
-    // happened before any rank could finish the barrier); a message whose
-    // last byte is still in flight is consumed at its arrival time.
-    while (ctx.can_recv(sim::kAnySource, static_cast<std::int64_t>(tag))) {
-      sim::RankCtx::RecvInfo info =
-          ctx.recv(sim::kAnySource, static_cast<std::int64_t>(tag));
-      const auto src = static_cast<std::size_t>(comm_rank_of_world(info.src));
-      FCS_CHECK(incoming[src].empty() || self_bytes_nonzero_at(src),
-                "duplicate sparse message from rank " << src);
-      incoming[src] = std::move(info.payload);
-    }
-    // Assemble grouped-by-source output.
-    recv_bytes->assign(incoming.size(), 0);
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < incoming.size(); ++i) {
-      (*recv_bytes)[i] = incoming[i].size();
-      total += incoming[i].size();
-    }
-    out->resize(total);
-    std::size_t pos = 0;
-    for (const auto& blk : incoming) {
-      if (!blk.empty()) std::memcpy(out->data() + pos, blk.data(), blk.size());
-      pos += blk.size();
-    }
-    status.bytes = total;
-    done = true;
-    return true;
-  }
-
-  bool self_bytes_nonzero_at(std::size_t src) const {
-    return static_cast<int>(src) == comm.rank();
-  }
-
-  std::uint64_t tag = 0;
-  std::vector<BarrierStep> barrier;
-  std::size_t pc = 0;
-  bool sent_token = false;
-  std::vector<std::vector<std::byte>> incoming;
-  std::vector<std::size_t>* recv_bytes = nullptr;
-  std::vector<std::byte>* out = nullptr;
-};
-
-const std::byte* as_bytes(const void* p) {
-  return static_cast<const std::byte*>(p);
-}
-
-}  // namespace
-
 }  // namespace detail
-
-// --- Request ----------------------------------------------------------------
 
 bool Request::test(Status* status) {
   FCS_CHECK(valid(), "test on an inactive request");
@@ -312,178 +98,6 @@ Status Request::wait() {
   return st;
 }
 
-void Request::cancel() { state_.reset(); }
-
-void Request::wait_all(Request* requests, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    if (requests[i].valid()) requests[i].wait();
-}
-
-// --- factories --------------------------------------------------------------
-
-Request Comm::isend_bytes(const void* data, std::size_t bytes, int dst,
-                          int tag) const {
-  if (obs::RankObs* const o = ctx_->obs(); o != nullptr) {
-    o->add("mpi.p2p.msgs", 1.0);
-    o->add("mpi.p2p.bytes", static_cast<double>(bytes));
-  }
-  const double done_time =
-      ctx_->send_async(world_rank(dst), p2p_tag(tag), data, bytes);
-  auto st = std::make_shared<detail::SendState>(*this, done_time);
-  st->status.source = dst;
-  st->status.tag = tag;
-  st->status.bytes = bytes;
-  return Request(std::move(st));
-}
-
-Request Comm::irecv_bytes(void* data, std::size_t capacity, int src,
-                          int tag) const {
-  auto st = std::make_shared<detail::RecvState>(*this);
-  st->buffer = data;
-  st->capacity = capacity;
-  st->user_src = src;
-  st->world_src = src == kAnySource ? sim::kAnySource : world_rank(src);
-  st->sim_tag =
-      tag == kAnyTag ? sim::kAnyTag : static_cast<std::int64_t>(p2p_tag(tag));
-  return Request(std::move(st));
-}
-
-Request Comm::iallreduce_bytes(const void* in, void* out, std::size_t count,
-                               std::size_t elem_size, CombineFn combine,
-                               std::shared_ptr<const void> op) const {
-  obs::count(ctx_->obs(), "mpi.iallreduce.calls", 1.0);
-  obs::count(ctx_->obs(), "mpi.iallreduce.bytes",
-             static_cast<double>(count * elem_size));
-  const int p = size();
-  const int r = rank();
-  const std::size_t bytes = count * elem_size;
-  // Both phase tags are drawn at creation, in the order the blocking
-  // allreduce (reduce then bcast) would draw them.
-  const std::uint64_t reduce_tag = next_collective_tag(kOpReduce);
-  const std::uint64_t bcast_tag = next_collective_tag(kOpBcast);
-
-  auto st = std::make_shared<detail::AllreduceState>(*this);
-  st->acc.resize(bytes);
-  if (bytes > 0) std::memcpy(st->acc.data(), in, bytes);
-  st->out = out;
-  st->count = count;
-  st->combine = combine;
-  st->op = std::move(op);
-
-  using Step = detail::AllreduceState::Step;
-  // Reduce to rank 0 (binomial, ascending mask; root == 0 so vr == r).
-  for (int mask = 1; mask < p; mask <<= 1) {
-    if ((r & mask) == 0) {
-      if ((r | mask) < p)
-        st->steps.push_back(
-            Step{Step::kRecvCombine, world_rank(r | mask), reduce_tag});
-    } else {
-      st->steps.push_back(
-          Step{Step::kSendAcc, world_rank(r & ~mask), reduce_tag});
-      break;
-    }
-  }
-  // Bcast from rank 0 (binomial: receive from parent, forward to children).
-  int mask = 1;
-  while (mask < p) {
-    if (r & mask) {
-      st->steps.push_back(Step{Step::kRecvAcc, world_rank(r - mask), bcast_tag});
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (r + mask < p)
-      st->steps.push_back(Step{Step::kSendAcc, world_rank(r + mask), bcast_tag});
-    mask >>= 1;
-  }
-
-  Request rq(st);
-  st->progress(/*blocking=*/false);  // issue leading sends / finish p == 1
-  return rq;
-}
-
-namespace {
-
-// Shared scaffolding of the known-size async exchanges: self-block copy,
-// async sends to every non-empty partner, pending-receive list in ascending
-// partner order.
-std::shared_ptr<mpi::detail::KnownExchangeState> make_known_state(
-    const Comm& comm, sim::RankCtx& ctx, const void* in,
-    const std::vector<std::size_t>& send_bytes,
-    const std::vector<std::size_t>& recv_bytes, void* out,
-    std::uint64_t tag) {
-  const int p = comm.size();
-  const int r = comm.rank();
-  std::vector<std::size_t> send_offsets(static_cast<std::size_t>(p) + 1, 0);
-  std::vector<std::size_t> recv_offsets(static_cast<std::size_t>(p) + 1, 0);
-  for (int i = 0; i < p; ++i) {
-    send_offsets[static_cast<std::size_t>(i) + 1] =
-        send_offsets[static_cast<std::size_t>(i)] +
-        send_bytes[static_cast<std::size_t>(i)];
-    recv_offsets[static_cast<std::size_t>(i) + 1] =
-        recv_offsets[static_cast<std::size_t>(i)] +
-        recv_bytes[static_cast<std::size_t>(i)];
-  }
-  FCS_CHECK(send_bytes[static_cast<std::size_t>(r)] ==
-                recv_bytes[static_cast<std::size_t>(r)],
-            "async exchange: self send/recv size mismatch");
-  auto st = std::make_shared<mpi::detail::KnownExchangeState>(comm);
-  st->tag = tag;
-  st->out = static_cast<std::byte*>(out);
-  if (send_bytes[static_cast<std::size_t>(r)] > 0)
-    std::memcpy(st->out + recv_offsets[static_cast<std::size_t>(r)],
-                mpi::detail::as_bytes(in) +
-                    send_offsets[static_cast<std::size_t>(r)],
-                send_bytes[static_cast<std::size_t>(r)]);
-  for (int i = 0; i < p; ++i) {
-    if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    ctx.send_async(comm.world_rank(i), tag,
-                   mpi::detail::as_bytes(in) +
-                       send_offsets[static_cast<std::size_t>(i)],
-                   send_bytes[static_cast<std::size_t>(i)]);
-  }
-  for (int i = 0; i < p; ++i) {
-    if (i == r || recv_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    st->pending.push_back(mpi::detail::KnownExchangeState::Pending{
-        comm.world_rank(i), recv_bytes[static_cast<std::size_t>(i)],
-        recv_offsets[static_cast<std::size_t>(i)]});
-  }
-  if (st->pending.empty()) st->done = true;
-  return st;
-}
-
-}  // namespace
-
-Request Comm::ialltoallv_bytes_known(const void* in,
-                                     const std::vector<std::size_t>& send_bytes,
-                                     const std::vector<std::size_t>& recv_bytes,
-                                     void* out) const {
-  const int p = size();
-  const int r = rank();
-  FCS_CHECK(static_cast<int>(send_bytes.size()) == p &&
-                static_cast<int>(recv_bytes.size()) == p,
-            "ialltoallv_known needs one send and one recv size per rank");
-  const std::uint64_t tag = next_collective_tag(kOpAlltoallv);
-  // Same analytic dense-fabric charge as the blocking path, but occupying
-  // the NIC: the CPU is free to compute while the fabric does the bisection
-  // work.
-  std::size_t total_send = 0;
-  for (int i = 0; i < p; ++i)
-    if (i != r) total_send += send_bytes[static_cast<std::size_t>(i)];
-  if (obs::RankObs* const o = ctx_->obs(); o != nullptr) {
-    o->add("mpi.ialltoallv_known.calls", 1.0);
-    o->add("mpi.ialltoallv_known.bytes", static_cast<double>(total_send));
-  }
-  ctx_->charge_nic(
-      ctx_->config().network->dense_exchange_latency(ctx_->rank(), p) +
-      static_cast<double>(total_send) *
-          ctx_->config().network->dense_exchange_byte_time(p));
-  return Request(
-      make_known_state(*this, *ctx_, in, send_bytes, recv_bytes, out, tag));
-}
-
 Request Comm::isparse_alltoallv_bytes_known(
     const void* in, const std::vector<std::size_t>& send_bytes,
     const std::vector<std::size_t>& recv_bytes, void* out) const {
@@ -492,98 +106,23 @@ Request Comm::isparse_alltoallv_bytes_known(
   FCS_CHECK(static_cast<int>(send_bytes.size()) == p &&
                 static_cast<int>(recv_bytes.size()) == p,
             "isparse_alltoallv_known needs one send and one recv size per rank");
-  if (obs::RankObs* const o = ctx_->obs(); o != nullptr) {
-    double moved = 0.0;
-    double partners = 0.0;
-    for (int i = 0; i < p; ++i) {
-      if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-      moved += static_cast<double>(send_bytes[static_cast<std::size_t>(i)]);
-      partners += 1.0;
-    }
-    o->add("mpi.isparse_alltoallv_known.calls", 1.0);
-    o->add("mpi.isparse_alltoallv_known.bytes", moved);
-    o->add("mpi.isparse_alltoallv_known.partners", partners);
-  }
-  const std::uint64_t tag = next_collective_tag(kOpSparse);
-  return Request(
-      make_known_state(*this, *ctx_, in, send_bytes, recv_bytes, out, tag));
-}
-
-Request Comm::ialltoallv_bytes(const void* in,
-                               const std::vector<std::size_t>& send_bytes,
-                               std::vector<std::size_t>* recv_bytes,
-                               std::vector<std::byte>* out) const {
-  const int p = size();
-  FCS_CHECK(static_cast<int>(send_bytes.size()) == p,
-            "ialltoallv needs one send size per rank");
-  FCS_CHECK(recv_bytes != nullptr && out != nullptr,
-            "ialltoallv needs output holders");
-  obs::count(ctx_->obs(), "mpi.ialltoallv.calls", 1.0);
-  // The counts transpose is a dependency of the receive layout; run it
-  // synchronously (it is tiny), then hand the data phase to the NIC.
-  std::vector<std::uint64_t> send_counts(send_bytes.begin(), send_bytes.end());
-  std::vector<std::uint64_t> recv_counts(static_cast<std::size_t>(p));
-  alltoall(send_counts.data(), 1, recv_counts.data());
-  recv_bytes->assign(recv_counts.begin(), recv_counts.end());
-  std::size_t total = 0;
-  for (std::size_t b : *recv_bytes) total += b;
-  out->resize(total);
-  return ialltoallv_bytes_known(in, send_bytes, *recv_bytes, out->data());
-}
-
-Request Comm::isparse_alltoallv_bytes(const void* in,
-                                      const std::vector<std::size_t>& send_bytes,
-                                      std::vector<std::size_t>* recv_bytes,
-                                      std::vector<std::byte>* out) const {
-  const int p = size();
-  const int r = rank();
-  FCS_CHECK(static_cast<int>(send_bytes.size()) == p,
-            "isparse_alltoallv needs one send size per rank");
-  FCS_CHECK(recv_bytes != nullptr && out != nullptr,
-            "isparse_alltoallv needs output holders");
-  if (obs::RankObs* const o = ctx_->obs(); o != nullptr) {
-    double moved = 0.0;
-    for (int i = 0; i < p; ++i)
-      if (i != r) moved += static_cast<double>(send_bytes[static_cast<std::size_t>(i)]);
-    o->add("mpi.isparse_alltoallv.calls", 1.0);
-    o->add("mpi.isparse_alltoallv.bytes", moved);
-  }
-  const std::uint64_t tag = next_collective_tag(kOpSparse);
-  const std::uint64_t barrier_tag = next_collective_tag(kOpBarrier);
-
-  auto st = std::make_shared<detail::NbxExchangeState>(*this);
-  st->tag = tag;
-  st->recv_bytes = recv_bytes;
-  st->out = out;
-  st->incoming.resize(static_cast<std::size_t>(p));
-
-  std::vector<std::size_t> send_offsets(static_cast<std::size_t>(p) + 1, 0);
-  for (int i = 0; i < p; ++i)
-    send_offsets[static_cast<std::size_t>(i) + 1] =
-        send_offsets[static_cast<std::size_t>(i)] +
-        send_bytes[static_cast<std::size_t>(i)];
-  if (send_bytes[static_cast<std::size_t>(r)] > 0)
-    st->incoming[static_cast<std::size_t>(r)].assign(
-        detail::as_bytes(in) + send_offsets[static_cast<std::size_t>(r)],
-        detail::as_bytes(in) + send_offsets[static_cast<std::size_t>(r) + 1]);
+  count_sparse(send_bytes, "mpi.isparse_alltoallv_known.calls",
+               "mpi.isparse_alltoallv_known.bytes",
+               "mpi.isparse_alltoallv_known.partners");
+  auto st = std::make_shared<detail::AsyncState>();
+  st->comm = *this;
+  st->tag = next_collective_tag(kOpSparse);
+  st->out = static_cast<std::byte*>(out);
+  const std::vector<std::size_t> recv_offsets =
+      post_known(in, send_bytes, recv_bytes, out, st->tag, /*nic=*/true);
   for (int i = 0; i < p; ++i) {
-    if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    ctx_->send_async(world_rank(i), tag,
-                     detail::as_bytes(in) +
-                         send_offsets[static_cast<std::size_t>(i)],
-                     send_bytes[static_cast<std::size_t>(i)]);
+    const std::size_t n = recv_bytes[static_cast<std::size_t>(i)];
+    if (i == r || n == 0) continue;
+    st->pending.push_back(detail::AsyncState::Pending{
+        world_rank(i), n, recv_offsets[static_cast<std::size_t>(i)]});
   }
-  int round = 0;
-  for (int k = 1; k < p; k <<= 1, ++round) {
-    const int dst = (r + k) % p;
-    const int src = (r - k + p) % p;
-    st->barrier.push_back(detail::NbxExchangeState::BarrierStep{
-        world_rank(dst), world_rank(src), with_round(barrier_tag, round)});
-  }
-
-  Request rq(st);
-  st->progress(/*blocking=*/false);  // p == 1 completes immediately
-  return rq;
+  if (st->pending.empty()) st->done = true;
+  return Request(std::move(st));
 }
 
 }  // namespace mpi

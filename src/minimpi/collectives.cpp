@@ -220,58 +220,6 @@ void Comm::allgatherv_bytes(const void* in,
   ctx_->charge_bytes(static_cast<double>(total));
 }
 
-void Comm::gather_bytes(const void* in, std::size_t bytes_each, void* out,
-                        int root) const {
-  obs::Span span(ctx_->obs(), "mpi.gather");
-  obs::count(ctx_->obs(), "mpi.gather.calls", 1.0);
-  obs::count(ctx_->obs(), "mpi.gather.bytes", static_cast<double>(bytes_each));
-  const int p = size();
-  const int r = rank();
-  const std::uint64_t tag = next_collective_tag(kOpGather);
-  if (r == root) {
-    if (bytes_each > 0)
-      std::memcpy(as_bytes(out) + bytes_each * static_cast<std::size_t>(r), in,
-                  bytes_each);
-    for (int src = 0; src < p; ++src) {
-      if (src == root) continue;
-      sim::RankCtx::RecvInfo info =
-          ctx_->recv(world_rank(src), static_cast<std::int64_t>(tag));
-      FCS_CHECK(info.payload.size() == bytes_each, "gather size mismatch");
-      if (bytes_each > 0)
-        std::memcpy(as_bytes(out) + bytes_each * static_cast<std::size_t>(src),
-                    info.payload.data(), bytes_each);
-    }
-  } else {
-    ctx_->send(world_rank(root), tag, in, bytes_each);
-  }
-}
-
-void Comm::scatter_bytes(const void* in, std::size_t bytes_each, void* out,
-                         int root) const {
-  obs::Span span(ctx_->obs(), "mpi.scatter");
-  obs::count(ctx_->obs(), "mpi.scatter.calls", 1.0);
-  obs::count(ctx_->obs(), "mpi.scatter.bytes", static_cast<double>(bytes_each));
-  const int p = size();
-  const int r = rank();
-  const std::uint64_t tag = next_collective_tag(kOpScatter);
-  if (r == root) {
-    for (int dst = 0; dst < p; ++dst) {
-      if (dst == root) continue;
-      ctx_->send(world_rank(dst), tag,
-                 as_bytes(in) + bytes_each * static_cast<std::size_t>(dst),
-                 bytes_each);
-    }
-    if (bytes_each > 0)
-      std::memcpy(out, as_bytes(in) + bytes_each * static_cast<std::size_t>(r),
-                  bytes_each);
-  } else {
-    sim::RankCtx::RecvInfo info =
-        ctx_->recv(world_rank(root), static_cast<std::int64_t>(tag));
-    FCS_CHECK(info.payload.size() == bytes_each, "scatter size mismatch");
-    if (bytes_each > 0) std::memcpy(out, info.payload.data(), bytes_each);
-  }
-}
-
 void Comm::alltoall_bytes(const void* in, std::size_t bytes_each,
                           void* out) const {
   obs::Span span(ctx_->obs(), "mpi.alltoall");
@@ -331,67 +279,106 @@ void Comm::alltoall_bytes(const void* in, std::size_t bytes_each,
   ctx_->charge_bytes(static_cast<double>(bytes_each) * p);
 }
 
+void Comm::count_sparse(const std::vector<std::size_t>& send_bytes,
+                        const char* calls, const char* bytes,
+                        const char* partners) const {
+  obs::RankObs* const o = ctx_->obs();
+  if (o == nullptr) return;
+  const int r = rank();
+  double moved = 0.0;
+  double n_partners = 0.0;
+  for (int i = 0; i < size(); ++i) {
+    if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
+    moved += static_cast<double>(send_bytes[static_cast<std::size_t>(i)]);
+    n_partners += 1.0;
+  }
+  o->add(calls, 1.0);
+  o->add(bytes, moved);
+  o->add(partners, n_partners);
+}
+
+void Comm::charge_dense_exchange(const std::vector<std::size_t>& send_bytes,
+                                 const char* bytes_counter) const {
+  const int p = size();
+  const int r = rank();
+  std::size_t total_send = 0;
+  for (int i = 0; i < p; ++i)
+    if (i != r) total_send += send_bytes[static_cast<std::size_t>(i)];
+  obs::count(ctx_->obs(), bytes_counter, static_cast<double>(total_send));
+  ctx_->advance(
+      ctx_->config().network->dense_exchange_latency(ctx_->rank(), p) +
+      static_cast<double>(total_send) *
+          ctx_->config().network->dense_exchange_byte_time(p));
+}
+
+std::vector<std::size_t> Comm::post_known(
+    const void* in, const std::vector<std::size_t>& send_bytes,
+    const std::vector<std::size_t>& recv_bytes, void* out, std::uint64_t tag,
+    bool nic) const {
+  const int p = size();
+  const auto r = static_cast<std::size_t>(rank());
+  std::vector<std::size_t> send_offsets(static_cast<std::size_t>(p) + 1, 0);
+  std::vector<std::size_t> recv_offsets(static_cast<std::size_t>(p) + 1, 0);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(p); ++i) {
+    send_offsets[i + 1] = send_offsets[i] + send_bytes[i];
+    recv_offsets[i + 1] = recv_offsets[i] + recv_bytes[i];
+  }
+  FCS_CHECK(send_bytes[r] == recv_bytes[r],
+            "known-size exchange: self send/recv size mismatch");
+  if (send_bytes[r] > 0)
+    std::memcpy(as_bytes(out) + recv_offsets[r],
+                as_bytes(in) + send_offsets[r], send_bytes[r]);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(p); ++i) {
+    if (i == r || send_bytes[i] == 0) continue;
+    const int dst = world_rank(static_cast<int>(i));
+    if (nic)
+      ctx_->send_async(dst, tag, as_bytes(in) + send_offsets[i], send_bytes[i]);
+    else
+      ctx_->send(dst, tag, as_bytes(in) + send_offsets[i], send_bytes[i]);
+  }
+  return recv_offsets;
+}
+
+void Comm::exchange_known(const void* in,
+                          const std::vector<std::size_t>& send_bytes,
+                          const std::vector<std::size_t>& recv_bytes,
+                          void* out, std::uint64_t tag) const {
+  const std::vector<std::size_t> recv_offsets =
+      post_known(in, send_bytes, recv_bytes, out, tag, /*nic=*/false);
+  const int p = size();
+  for (int i = 0; i < p; ++i) {
+    const std::size_t n = recv_bytes[static_cast<std::size_t>(i)];
+    if (i == rank() || n == 0) continue;
+    sim::RankCtx::RecvInfo info =
+        ctx_->recv(world_rank(i), static_cast<std::int64_t>(tag));
+    FCS_CHECK(info.payload.size() == n,
+              "known-size exchange: data size mismatch from rank " << i);
+    std::memcpy(as_bytes(out) + recv_offsets[static_cast<std::size_t>(i)],
+                info.payload.data(), n);
+  }
+}
+
 std::vector<std::byte> Comm::alltoallv_bytes(
     const void* in, const std::vector<std::size_t>& send_bytes,
     std::vector<std::size_t>& recv_bytes) const {
   obs::Span span(ctx_->obs(), "mpi.alltoallv");
   obs::count(ctx_->obs(), "mpi.alltoallv.calls", 1.0);
   const int p = size();
-  const int r = rank();
   FCS_CHECK(static_cast<int>(send_bytes.size()) == p,
             "alltoallv needs one send size per rank");
   const std::uint64_t tag = next_collective_tag(kOpAlltoallv);
 
-  // Step 1: exchange the counts (dense, Bruck).
+  // Exchange the counts (dense, Bruck), then run the known-size dense data
+  // phase on them.
   std::vector<std::uint64_t> send_counts(send_bytes.begin(), send_bytes.end());
   std::vector<std::uint64_t> recv_counts(static_cast<std::size_t>(p));
   alltoall(send_counts.data(), 1, recv_counts.data());
   recv_bytes.assign(recv_counts.begin(), recv_counts.end());
 
-  // Step 2: a real MPI_Alltoallv touches every pair even for empty blocks
-  // and contends for the fabric's bisection; charge both analytically, then
-  // move only the non-empty blocks.
-  std::size_t total_send = 0;
-  for (int i = 0; i < p; ++i)
-    if (i != r) total_send += send_bytes[static_cast<std::size_t>(i)];
-  obs::count(ctx_->obs(), "mpi.alltoallv.bytes",
-             static_cast<double>(total_send));
-  ctx_->advance(
-      ctx_->config().network->dense_exchange_latency(ctx_->rank(), p) +
-      static_cast<double>(total_send) *
-          ctx_->config().network->dense_exchange_byte_time(p));
-
-  std::vector<std::size_t> send_offsets(static_cast<std::size_t>(p) + 1, 0);
-  std::vector<std::size_t> recv_offsets(static_cast<std::size_t>(p) + 1, 0);
-  for (int i = 0; i < p; ++i) {
-    send_offsets[static_cast<std::size_t>(i) + 1] =
-        send_offsets[static_cast<std::size_t>(i)] + send_bytes[static_cast<std::size_t>(i)];
-    recv_offsets[static_cast<std::size_t>(i) + 1] =
-        recv_offsets[static_cast<std::size_t>(i)] + recv_bytes[static_cast<std::size_t>(i)];
-  }
-  std::vector<std::byte> out(recv_offsets.back());
-
-  // Self block first (local copy).
-  if (send_bytes[static_cast<std::size_t>(r)] > 0)
-    std::memcpy(out.data() + recv_offsets[static_cast<std::size_t>(r)],
-                as_bytes(in) + send_offsets[static_cast<std::size_t>(r)],
-                send_bytes[static_cast<std::size_t>(r)]);
-
-  for (int i = 0; i < p; ++i) {
-    if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    ctx_->send(world_rank(i), tag,
-               as_bytes(in) + send_offsets[static_cast<std::size_t>(i)],
-               send_bytes[static_cast<std::size_t>(i)]);
-  }
-  for (int i = 0; i < p; ++i) {
-    if (i == r || recv_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    sim::RankCtx::RecvInfo info =
-        ctx_->recv(world_rank(i), static_cast<std::int64_t>(tag));
-    FCS_CHECK(info.payload.size() == recv_bytes[static_cast<std::size_t>(i)],
-              "alltoallv data size mismatch");
-    std::memcpy(out.data() + recv_offsets[static_cast<std::size_t>(i)],
-                info.payload.data(), info.payload.size());
-  }
+  charge_dense_exchange(send_bytes, "mpi.alltoallv.bytes");
+  std::vector<std::byte> out(
+      std::accumulate(recv_bytes.begin(), recv_bytes.end(), std::size_t{0}));
+  exchange_known(in, send_bytes, recv_bytes, out.data(), tag);
   return out;
 }
 
@@ -402,57 +389,14 @@ void Comm::alltoallv_bytes_known(const void* in,
   obs::Span span(ctx_->obs(), "mpi.alltoallv_known");
   obs::count(ctx_->obs(), "mpi.alltoallv_known.calls", 1.0);
   const int p = size();
-  const int r = rank();
   FCS_CHECK(static_cast<int>(send_bytes.size()) == p &&
                 static_cast<int>(recv_bytes.size()) == p,
             "alltoallv_known needs one send and one recv size per rank");
   const std::uint64_t tag = next_collective_tag(kOpAlltoallv);
-
-  // Same fabric model as the data phase of alltoallv_bytes: the dense
-  // exchange touches every pair and contends for the bisection; only the
-  // counts transpose is gone because both sides already know the sizes.
-  std::size_t total_send = 0;
-  for (int i = 0; i < p; ++i)
-    if (i != r) total_send += send_bytes[static_cast<std::size_t>(i)];
-  obs::count(ctx_->obs(), "mpi.alltoallv_known.bytes",
-             static_cast<double>(total_send));
-  ctx_->advance(
-      ctx_->config().network->dense_exchange_latency(ctx_->rank(), p) +
-      static_cast<double>(total_send) *
-          ctx_->config().network->dense_exchange_byte_time(p));
-
-  std::vector<std::size_t> send_offsets(static_cast<std::size_t>(p) + 1, 0);
-  std::vector<std::size_t> recv_offsets(static_cast<std::size_t>(p) + 1, 0);
-  for (int i = 0; i < p; ++i) {
-    send_offsets[static_cast<std::size_t>(i) + 1] =
-        send_offsets[static_cast<std::size_t>(i)] + send_bytes[static_cast<std::size_t>(i)];
-    recv_offsets[static_cast<std::size_t>(i) + 1] =
-        recv_offsets[static_cast<std::size_t>(i)] + recv_bytes[static_cast<std::size_t>(i)];
-  }
-  FCS_CHECK(send_bytes[static_cast<std::size_t>(r)] ==
-                recv_bytes[static_cast<std::size_t>(r)],
-            "alltoallv_known: self send/recv size mismatch");
-
-  if (send_bytes[static_cast<std::size_t>(r)] > 0)
-    std::memcpy(as_bytes(out) + recv_offsets[static_cast<std::size_t>(r)],
-                as_bytes(in) + send_offsets[static_cast<std::size_t>(r)],
-                send_bytes[static_cast<std::size_t>(r)]);
-
-  for (int i = 0; i < p; ++i) {
-    if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    ctx_->send(world_rank(i), tag,
-               as_bytes(in) + send_offsets[static_cast<std::size_t>(i)],
-               send_bytes[static_cast<std::size_t>(i)]);
-  }
-  for (int i = 0; i < p; ++i) {
-    if (i == r || recv_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    sim::RankCtx::RecvInfo info =
-        ctx_->recv(world_rank(i), static_cast<std::int64_t>(tag));
-    FCS_CHECK(info.payload.size() == recv_bytes[static_cast<std::size_t>(i)],
-              "alltoallv_known data size mismatch from rank " << i);
-    std::memcpy(as_bytes(out) + recv_offsets[static_cast<std::size_t>(i)],
-                info.payload.data(), info.payload.size());
-  }
+  // Same fabric model as the data phase of alltoallv_bytes; only the counts
+  // transpose is gone because both sides already know the sizes.
+  charge_dense_exchange(send_bytes, "mpi.alltoallv_known.bytes");
+  exchange_known(in, send_bytes, recv_bytes, out, tag);
 }
 
 void Comm::sparse_alltoallv_bytes_known(
@@ -460,57 +404,15 @@ void Comm::sparse_alltoallv_bytes_known(
     const std::vector<std::size_t>& recv_bytes, void* out) const {
   obs::Span span(ctx_->obs(), "mpi.sparse_alltoallv_known");
   const int p = size();
-  const int r = rank();
   FCS_CHECK(static_cast<int>(send_bytes.size()) == p &&
                 static_cast<int>(recv_bytes.size()) == p,
             "sparse_alltoallv_known needs one send and one recv size per rank");
-  if (obs::RankObs* const o = ctx_->obs(); o != nullptr) {
-    double moved = 0.0;
-    double partners = 0.0;
-    for (int i = 0; i < p; ++i) {
-      if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-      moved += static_cast<double>(send_bytes[static_cast<std::size_t>(i)]);
-      partners += 1.0;
-    }
-    o->add("mpi.sparse_alltoallv_known.calls", 1.0);
-    o->add("mpi.sparse_alltoallv_known.bytes", moved);
-    o->add("mpi.sparse_alltoallv_known.partners", partners);
-  }
+  count_sparse(send_bytes, "mpi.sparse_alltoallv_known.calls",
+               "mpi.sparse_alltoallv_known.bytes",
+               "mpi.sparse_alltoallv_known.partners");
   const std::uint64_t tag = next_collective_tag(kOpSparse);
-
-  std::vector<std::size_t> send_offsets(static_cast<std::size_t>(p) + 1, 0);
-  std::vector<std::size_t> recv_offsets(static_cast<std::size_t>(p) + 1, 0);
-  for (int i = 0; i < p; ++i) {
-    send_offsets[static_cast<std::size_t>(i) + 1] =
-        send_offsets[static_cast<std::size_t>(i)] + send_bytes[static_cast<std::size_t>(i)];
-    recv_offsets[static_cast<std::size_t>(i) + 1] =
-        recv_offsets[static_cast<std::size_t>(i)] + recv_bytes[static_cast<std::size_t>(i)];
-  }
-  FCS_CHECK(send_bytes[static_cast<std::size_t>(r)] ==
-                recv_bytes[static_cast<std::size_t>(r)],
-            "sparse_alltoallv_known: self send/recv size mismatch");
-  if (send_bytes[static_cast<std::size_t>(r)] > 0)
-    std::memcpy(as_bytes(out) + recv_offsets[static_cast<std::size_t>(r)],
-                as_bytes(in) + send_offsets[static_cast<std::size_t>(r)],
-                send_bytes[static_cast<std::size_t>(r)]);
-
-  // Both partner sets are known from the plan, so no NBX barrier is needed:
-  // sends are eager, and each expected message is received directly.
-  for (int i = 0; i < p; ++i) {
-    if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    ctx_->send(world_rank(i), tag,
-               as_bytes(in) + send_offsets[static_cast<std::size_t>(i)],
-               send_bytes[static_cast<std::size_t>(i)]);
-  }
-  for (int i = 0; i < p; ++i) {
-    if (i == r || recv_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    sim::RankCtx::RecvInfo info =
-        ctx_->recv(world_rank(i), static_cast<std::int64_t>(tag));
-    FCS_CHECK(info.payload.size() == recv_bytes[static_cast<std::size_t>(i)],
-              "sparse_alltoallv_known data size mismatch from rank " << i);
-    std::memcpy(as_bytes(out) + recv_offsets[static_cast<std::size_t>(i)],
-                info.payload.data(), info.payload.size());
-  }
+  // Both partner sets are known from the plan, so no NBX barrier is needed.
+  exchange_known(in, send_bytes, recv_bytes, out, tag);
 }
 
 std::vector<std::byte> Comm::sparse_alltoallv_bytes(
@@ -521,18 +423,8 @@ std::vector<std::byte> Comm::sparse_alltoallv_bytes(
   const int r = rank();
   FCS_CHECK(static_cast<int>(send_bytes.size()) == p,
             "sparse_alltoallv needs one send size per rank");
-  if (obs::RankObs* const o = ctx_->obs(); o != nullptr) {
-    double moved = 0.0;
-    double partners = 0.0;
-    for (int i = 0; i < p; ++i) {
-      if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-      moved += static_cast<double>(send_bytes[static_cast<std::size_t>(i)]);
-      partners += 1.0;
-    }
-    o->add("mpi.sparse_alltoallv.calls", 1.0);
-    o->add("mpi.sparse_alltoallv.bytes", moved);
-    o->add("mpi.sparse_alltoallv.partners", partners);
-  }
+  count_sparse(send_bytes, "mpi.sparse_alltoallv.calls",
+               "mpi.sparse_alltoallv.bytes", "mpi.sparse_alltoallv.partners");
   const std::uint64_t tag = next_collective_tag(kOpSparse);
 
   std::vector<std::size_t> send_offsets(static_cast<std::size_t>(p) + 1, 0);

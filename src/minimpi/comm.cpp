@@ -1,7 +1,6 @@
 #include "minimpi/comm.hpp"
 
 #include <algorithm>
-#include <tuple>
 
 #include "obs/obs.hpp"
 
@@ -17,26 +16,6 @@ namespace {
 //   [7:0]   collective op code  -- or, for p2p, [30:0] = user tag
 constexpr std::uint64_t kCollectiveBit = 1ULL << 43;
 constexpr int kMaxUserTag = (1 << 30) - 1;
-
-// Context id 0xFFFFF is reserved for the rank-failure recovery protocol
-// (see recovery.cpp); 0 is the world communicator. mix_context never emits
-// the reserved id so recovery traffic can always be told apart.
-constexpr std::uint64_t kRecoveryContext = 0xfffff;
-
-std::uint64_t mix_context(std::uint64_t parent, std::uint64_t a,
-                          std::uint64_t b) {
-  std::uint64_t h = parent * 0x9e3779b97f4a7c15ULL + 0x632be59bd9b4e019ULL;
-  h ^= a + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= b + 0x94d049bb133111ebULL + (h << 6) + (h >> 2);
-  // Final avalanche: spreads every input bit over the kept window, so the
-  // children of adjacent `split` sequence numbers get unrelated context ids
-  // instead of ids that differ only in a few low bits.
-  h *= 0xd6e8feb86659fd93ULL;
-  h ^= h >> 32;
-  h &= 0xfffff;  // 20-bit context id space
-  return h == kRecoveryContext ? 0x7a11e : h;
-}
 
 }  // namespace
 
@@ -122,45 +101,5 @@ std::vector<std::byte> Comm::recv_bytes_vec(int src, int tag,
   }
   return std::move(info.payload);
 }
-
-Status Comm::wait(Request& rq) {
-  FCS_CHECK(rq.valid(), "wait on an inactive request");
-  return rq.wait();
-}
-
-void Comm::waitall(Request* requests, std::size_t n) {
-  Request::wait_all(requests, n);
-}
-
-Comm Comm::split(int color, int key) const {
-  // Gather (color, key, rank) from everyone, build my group.
-  struct Entry {
-    int color, key, rank;
-  };
-  const Entry mine{color, key, my_rank_};
-  std::vector<Entry> all(static_cast<std::size_t>(size()));
-  allgather(&mine, 1, all.data());
-
-  std::vector<Entry> members;
-  for (const Entry& e : all)
-    if (e.color == color) members.push_back(e);
-  std::sort(members.begin(), members.end(), [](const Entry& a, const Entry& b) {
-    return std::tie(a.key, a.rank) < std::tie(b.key, b.rank);
-  });
-
-  auto group = std::make_shared<Group>();
-  int new_rank = -1;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    group->world_ranks.push_back(world_rank(members[i].rank));
-    if (members[i].rank == my_rank_) new_rank = static_cast<int>(i);
-  }
-  FCS_ASSERT(new_rank >= 0);
-  const std::uint64_t seq = group_->next_child_seq++;
-  group->context_id = mix_context(group_->context_id,
-                                  static_cast<std::uint64_t>(color) + 1, seq);
-  return Comm(std::move(group), new_rank, ctx_);
-}
-
-Comm Comm::dup() const { return split(0, my_rank_); }
 
 }  // namespace mpi

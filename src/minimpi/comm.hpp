@@ -1,13 +1,14 @@
 // minimpi: an MPI-like message passing interface on top of the sim engine.
 //
-// The subset implemented here is exactly what the paper's algorithms need:
-// typed blocking/non-blocking point-to-point with tags and wildcards,
-// communicator split/dup, Cartesian topologies (cart.hpp), and the standard
-// collectives. All collectives are built on point-to-point using the
-// textbook algorithms (dissemination barrier, binomial tree bcast/reduce,
-// distance-doubling allgather(v), Bruck alltoall, pairwise exchange), so
-// their virtual-time cost emerges from the network model instead of being
-// postulated.
+// The subset implemented here is exactly what the library issues: typed
+// blocking point-to-point with tags and wildcards, Cartesian topologies
+// (cart.hpp), the collectives the redistribution methods and solvers call,
+// and one non-blocking operation (the known-size sparse exchange the
+// overlapped fcs_run sends its slabs through). All collectives are built on
+// point-to-point using the textbook algorithms (dissemination barrier,
+// binomial tree bcast/reduce, distance-doubling allgather(v) and exscan,
+// Bruck alltoall, direct partner exchange), so their virtual-time cost
+// emerges from the network model instead of being postulated.
 //
 // Restrictions compared to real MPI (documented, asserted where cheap):
 //  * data types must be trivially copyable,
@@ -81,13 +82,13 @@ namespace detail {
 struct AsyncState;
 }
 
-/// Non-blocking operation handle backed by the progress engine (async.cpp).
-/// Sends complete when the simulated NIC finishes injecting the payload
-/// (sim::RankCtx::send_async), receives and collectives complete as their
-/// messages physically arrive, and test() polls without blocking - which is
-/// what lets a task graph overlap communication with compute in virtual
-/// time. Handles are cheap shared references; copying is allowed and all
-/// copies observe the same completion.
+/// Handle of a non-blocking exchange (Comm::isparse_alltoallv_bytes_known,
+/// async.cpp). Its sends go to the simulated NIC at creation
+/// (sim::RankCtx::send_async); it completes as its partner messages
+/// physically arrive, and test() polls without blocking - which is what
+/// lets a task graph overlap communication with compute in virtual time.
+/// Handles are cheap shared references; copying is allowed and all copies
+/// observe the same completion.
 class Request {
  public:
   Request() = default;
@@ -103,16 +104,6 @@ class Request {
   /// Block until completion, advancing this rank's virtual clock to the
   /// completion time, and invalidate the handle.
   Status wait();
-
-  /// Release the operation without completing it (cancel-on-revoke: a
-  /// survivor drops requests of a revoked communicator so wait_all never
-  /// hangs on a peer that died; messages already in flight stay in the
-  /// mailbox for the recovery path's purge).
-  void cancel();
-
-  /// Wait on requests[0..n) in index order (deterministic clock advance);
-  /// invalid handles are skipped.
-  static void wait_all(Request* requests, std::size_t n);
 
  private:
   friend class Comm;
@@ -180,30 +171,6 @@ class Comm {
     if (status != nullptr) *status = st;
   }
 
-  /// Non-blocking send: the payload is captured immediately (the caller's
-  /// buffer may be reused right away) and the request completes when the
-  /// NIC finishes injecting it.
-  template <class T>
-  Request isend(const T* data, std::size_t n, int dst, int tag) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return isend_bytes(data, n * sizeof(T), dst, tag);
-  }
-
-  template <class T>
-  Request irecv(T* data, std::size_t max_n, int src, int tag) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return irecv_bytes(data, max_n * sizeof(T), src, tag);
-  }
-
-  Request isend_bytes(const void* data, std::size_t bytes, int dst,
-                      int tag) const;
-  Request irecv_bytes(void* data, std::size_t capacity, int src,
-                      int tag) const;
-
-  /// Legacy aliases for Request::wait / Request::wait_all.
-  static Status wait(Request& rq);
-  static void waitall(Request* requests, std::size_t n);
-
   // --- collectives ----------------------------------------------------------
 
   void barrier() const;
@@ -250,18 +217,6 @@ class Comm {
     for (std::size_t i = 0; i < counts.size(); ++i)
       bytes[i] = counts[i] * sizeof(T);
     allgatherv_bytes(in, bytes, out);
-  }
-
-  template <class T>
-  void gather(const T* in, std::size_t n_each, T* out, int root) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    gather_bytes(in, n_each * sizeof(T), out, root);
-  }
-
-  template <class T>
-  void scatter(const T* in, std::size_t n_each, T* out, int root) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    scatter_bytes(in, n_each * sizeof(T), out, root);
   }
 
   /// Dense alltoall with fixed block size (Bruck for small blocks, pairwise
@@ -315,16 +270,37 @@ class Comm {
     return out;
   }
 
-  /// Inclusive prefix scan.
-  template <class T, class Op>
-  T scan(T value, Op op) const {
-    return scan_impl(value, op, /*inclusive=*/true);
-  }
-
-  /// Exclusive prefix scan; rank 0 receives T{}.
+  /// Exclusive prefix scan; rank 0 receives T{}. Hillis-Steele distance
+  /// doubling.
   template <class T, class Op>
   T exscan(T value, Op op) const {
-    return scan_impl(value, op, /*inclusive=*/false);
+    static_assert(std::is_trivially_copyable_v<T>);
+    obs::Span span(ctx_->obs(), "mpi.scan");
+    obs::count(ctx_->obs(), "mpi.scan.calls", 1.0);
+    const int p = size();
+    const int r = rank();
+    T running = value;       // combined value of ranks [r - span + 1, r]
+    T prefix{};              // combined value of ranks [0, r-1]
+    bool have_prefix = false;
+    const std::uint64_t tag = next_collective_tag(kOpScan);
+    int round = 0;
+    for (int span = 1; span < p; span <<= 1, ++round) {
+      const int up = r + span;
+      const int down = r - span;
+      const std::uint64_t t = with_round(tag, round);
+      if (up < p) ctx_->send(world_rank(up), t, &running, sizeof(T));
+      if (down >= 0) {
+        sim::RankCtx::RecvInfo info =
+            ctx_->recv(world_rank(down), static_cast<std::int64_t>(t));
+        FCS_CHECK(info.payload.size() == sizeof(T), "scan size mismatch");
+        T incoming{};
+        std::memcpy(&incoming, info.payload.data(), sizeof(T));
+        running = op(incoming, running);
+        prefix = have_prefix ? op(incoming, prefix) : incoming;
+        have_prefix = true;
+      }
+    }
+    return have_prefix ? prefix : T{};
   }
 
   /// Element-wise exclusive prefix scan over an array; out[i] on rank r is
@@ -362,17 +338,13 @@ class Comm {
     std::copy(prefix.begin(), prefix.end(), out);
   }
 
-  /// Split into sub-communicators by color; ranks ordered by (key, rank).
-  Comm split(int color, int key) const;
-  Comm dup() const;
-
   // --- rank-failure recovery (ULFM-style; implemented in recovery.cpp) ------
 
   /// Revoke (MPI_Comm_revoke): every live rank blocked in a receive wakes up
   /// and its next communication throws RankFailedError unless it is already
   /// in recovery mode. Idempotent per recovery round. The revocation is
-  /// engine-wide (DESIGN.md §13): revoking a `split` child revokes every
-  /// communicator on the engine, not just the child's members.
+  /// engine-wide (DESIGN.md §13): it revokes every communicator on the
+  /// engine, not just this one's members.
   void revoke() const { ctx_->revoke(); }
 
   /// Fault-tolerant agreement on the failed subset of this communicator's
@@ -405,10 +377,6 @@ class Comm {
   void allgather_bytes(const void* in, std::size_t bytes_each, void* out) const;
   void allgatherv_bytes(const void* in, const std::vector<std::size_t>& bytes,
                         void* out) const;
-  void gather_bytes(const void* in, std::size_t bytes_each, void* out,
-                    int root) const;
-  void scatter_bytes(const void* in, std::size_t bytes_each, void* out,
-                     int root) const;
   void alltoall_bytes(const void* in, std::size_t bytes_each, void* out) const;
   std::vector<std::byte> alltoallv_bytes(
       const void* in, const std::vector<std::size_t>& send_bytes,
@@ -442,70 +410,26 @@ class Comm {
                     std::size_t elem_size, int root, CombineFn combine,
                     const void* op) const;
 
-  // --- non-blocking collectives (progress engine; async.cpp) ---------------
-  //
-  // Each i-collective is COLLECTIVE AT CREATION: every rank must create it
-  // at the same point of its collective call sequence (the tag sequence
-  // numbers are drawn there), but completion may be polled/waited at any
-  // later point, interleaved with other traffic on the same communicator.
-  // Input buffers are consumed at creation (sends capture their payload
-  // eagerly); output buffers must stay alive until completion. The bytes
-  // moved, the combine order, and the received contents are bit-identical
-  // to the blocking counterparts - only the virtual-time accounting differs
-  // (payload copies and fabric charges go to the NIC timeline instead of
-  // the CPU clock).
+  // --- non-blocking exchange (progress engine; async.cpp) ------------------
 
-  /// Non-blocking allreduce: binomial reduce to rank 0 + binomial bcast,
-  /// the exact combine order of allreduce(). `out` is filled on completion.
-  template <class T, class Op>
-  Request iallreduce(const T* in, T* out, std::size_t n, Op op) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    auto op_copy = std::make_shared<Op>(op);
-    return iallreduce_bytes(
-        in, out, n, sizeof(T), make_combine<T, Op>(),
-        std::shared_ptr<const void>(op_copy, op_copy.get()));
-  }
-
-  Request iallreduce_bytes(const void* in, void* out, std::size_t count,
-                           std::size_t elem_size, CombineFn combine,
-                           std::shared_ptr<const void> op) const;
-
-  /// Non-blocking dense alltoallv: the counts transpose runs synchronously
-  /// at creation (it is a dependency of the receive layout), the data phase
-  /// is asynchronous. `recv_bytes` and `out` are filled on completion.
-  Request ialltoallv_bytes(const void* in,
-                           const std::vector<std::size_t>& send_bytes,
-                           std::vector<std::size_t>* recv_bytes,
-                           std::vector<std::byte>* out) const;
-
-  /// Non-blocking dense exchange with KNOWN sizes (plan reuse path); the
-  /// dense fabric latency/contention charge goes to the NIC timeline.
-  Request ialltoallv_bytes_known(const void* in,
-                                 const std::vector<std::size_t>& send_bytes,
-                                 const std::vector<std::size_t>& recv_bytes,
-                                 void* out) const;
-
-  /// Non-blocking sparse exchange (NBX): sends go out at creation, the
-  /// termination barrier and drain progress via polling.
-  Request isparse_alltoallv_bytes(const void* in,
-                                  const std::vector<std::size_t>& send_bytes,
-                                  std::vector<std::size_t>* recv_bytes,
-                                  std::vector<std::byte>* out) const;
-
-  /// Non-blocking sparse exchange with KNOWN sizes: no barrier round; each
-  /// expected partner message is polled directly.
+  /// Non-blocking sparse exchange with KNOWN sizes - the overlapped
+  /// fcs_run's slab exchange. COLLECTIVE AT CREATION: every rank must create
+  /// it at the same point of its collective call sequence (the tag sequence
+  /// number is drawn there), but completion may be polled/waited at any
+  /// later point, interleaved with other traffic on the same communicator.
+  /// The payload is consumed at creation (sends capture it eagerly and
+  /// charge the copy to the NIC timeline instead of the CPU clock); `out`
+  /// must stay alive until completion. Bytes, message order and received
+  /// contents are those of sparse_alltoallv_bytes_known; only the
+  /// virtual-time accounting differs.
   Request isparse_alltoallv_bytes_known(
       const void* in, const std::vector<std::size_t>& send_bytes,
       const std::vector<std::size_t>& recv_bytes, void* out) const;
 
  private:
-  friend struct detail::AsyncState;
-
   struct Group {
     std::vector<int> world_ranks;   // comm rank -> engine rank
     std::uint64_t context_id = 0;
-    // Per-parent sequence for deriving child context ids deterministically.
-    std::uint64_t next_child_seq = 1;
     // Lazily built inverse of world_ranks for O(1) source translation.
     mutable std::vector<std::pair<int, int>> world_to_comm_sorted;
     // Scratch buffers for the exchange path (per rank; Groups are not shared
@@ -530,41 +454,42 @@ class Comm {
     };
   }
 
-  template <class T, class Op>
-  T scan_impl(T value, Op op, bool inclusive) const {
-    // Hillis-Steele distance doubling on the exclusive prefix.
-    static_assert(std::is_trivially_copyable_v<T>);
-    obs::Span span(ctx_->obs(), "mpi.scan");
-    obs::count(ctx_->obs(), "mpi.scan.calls", 1.0);
-    const int p = size();
-    const int r = rank();
-    T running = value;       // combined value of ranks [r - span + 1, r]
-    T prefix{};              // combined value of ranks [0, r-1]
-    bool have_prefix = false;
-    const std::uint64_t tag = next_collective_tag(kOpScan);
-    int round = 0;
-    for (int span = 1; span < p; span <<= 1, ++round) {
-      const int up = r + span;
-      const int down = r - span;
-      const std::uint64_t t = with_round(tag, round);
-      if (up < p) ctx_->send(world_rank(up), t, &running, sizeof(T));
-      if (down >= 0) {
-        sim::RankCtx::RecvInfo info =
-            ctx_->recv(world_rank(down), static_cast<std::int64_t>(t));
-        FCS_CHECK(info.payload.size() == sizeof(T), "scan size mismatch");
-        T incoming{};
-        std::memcpy(&incoming, info.payload.data(), sizeof(T));
-        running = op(incoming, running);
-        prefix = have_prefix ? op(incoming, prefix) : incoming;
-        have_prefix = true;
-      }
-    }
-    if (inclusive) return r == 0 ? value : op(prefix, value);
-    return have_prefix ? prefix : T{};
-  }
+  /// Counts one sparse exchange under the given counter names: the call,
+  /// the bytes leaving this rank, and the partners they go to.
+  void count_sparse(const std::vector<std::size_t>& send_bytes,
+                    const char* calls, const char* bytes,
+                    const char* partners) const;
+
+  /// Data-phase fabric charge of a dense exchange: a real MPI_Alltoallv
+  /// touches every pair even for empty blocks and contends for the fabric's
+  /// bisection. Counts the bytes leaving this rank under `bytes_counter`,
+  /// then advances the clock by the analytic cost.
+  void charge_dense_exchange(const std::vector<std::size_t>& send_bytes,
+                             const char* bytes_counter) const;
+
+  /// Sending half of the data phase every known-size exchange shares:
+  /// copies the self block into `out`, then sends each non-empty partner
+  /// block eagerly - through the NIC timeline when `nic`, else on the CPU
+  /// clock. Returns the receive offsets (size() + 1 entries): data lands
+  /// in `out` grouped by source rank.
+  std::vector<std::size_t> post_known(const void* in,
+                                      const std::vector<std::size_t>& send_bytes,
+                                      const std::vector<std::size_t>& recv_bytes,
+                                      void* out, std::uint64_t tag,
+                                      bool nic) const;
+
+  /// The blocking data phase: post_known, then each expected partner
+  /// message is received in ascending rank order. `out` holds
+  /// sum(recv_bytes).
+  void exchange_known(const void* in,
+                      const std::vector<std::size_t>& send_bytes,
+                      const std::vector<std::size_t>& recv_bytes, void* out,
+                      std::uint64_t tag) const;
 
   // Internal tag construction: collective ops draw a fresh sequence number
-  // per call (identical across ranks because calls are collective).
+  // per call (identical across ranks because calls are collective). The
+  // codes of retired ops (gather, scatter, split) stay reserved, so every
+  // tag keeps its value.
   enum InternalOp : std::uint64_t {
     kOpBarrier = 1, kOpBcast, kOpReduce, kOpGather, kOpScatter,
     kOpAllgather, kOpAlltoall, kOpAlltoallv, kOpSparse, kOpScan, kOpSplit,

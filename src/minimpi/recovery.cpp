@@ -26,9 +26,10 @@
 //    runs its purge, and that traffic must not be flushed along with the
 //    aborted old-context collectives.
 //
-// Protocol traffic runs under the reserved tag context 0xFFFFF, which
-// mix_context never emits for ordinary communicators, with the recovery
-// generation in the sequence field so rounds cannot cross-talk.
+// Protocol traffic runs under the reserved tag context 0xFFFFF, which no
+// ordinary communicator gets (the world is context 0, and shrink_recover
+// skips the reserved id), with the recovery generation in the sequence
+// field so rounds cannot cross-talk.
 
 #include <cstdint>
 #include <cstring>

@@ -40,16 +40,24 @@ void DirectSolver::tune(const mpi::Comm&, const std::vector<domain::Vec3>&,
   // Nothing to tune; parameters are derived per solve.
 }
 
-fcs::SolveResult DirectSolver::solve(const mpi::Comm& comm,
-                                     const std::vector<domain::Vec3>& positions,
-                                     const std::vector<double>& charges,
-                                     const fcs::SolveOptions&) {
-  const double t0 = comm.ctx().now();
-  fcs::SolveResult result;
-  result.positions = positions;
-  result.charges = charges;
-  result.origin =
+fcs::SolveStage DirectSolver::begin_solve(
+    const mpi::Comm& comm, const std::vector<domain::Vec3>& positions,
+    const std::vector<double>& charges, const fcs::SolveOptions&) {
+  fcs::SolveStage stage;
+  stage.partial.positions = positions;
+  stage.partial.charges = charges;
+  stage.partial.origin =
       redist::consecutive_origin_indices(comm.rank(), positions.size());
+  return stage;
+}
+
+fcs::SolveResult DirectSolver::finish_solve(const mpi::Comm& comm,
+                                            fcs::SolveStage&& stage,
+                                            const fcs::SolveOptions&) {
+  const double t0 = comm.ctx().now();
+  fcs::SolveResult result = std::move(stage.partial);
+  const std::vector<Vec3>& positions = result.positions;
+  const std::vector<double>& charges = result.charges;
 
   // Gather the global system on every rank.
   const std::uint64_t n_local = positions.size();

@@ -28,10 +28,14 @@ class DirectSolver final : public fcs::Solver {
   void tune(const mpi::Comm& comm,
             const std::vector<domain::Vec3>& positions,
             const std::vector<double>& charges) override;
-  fcs::SolveResult solve(const mpi::Comm& comm,
-                         const std::vector<domain::Vec3>& positions,
-                         const std::vector<double>& charges,
-                         const fcs::SolveOptions& options) override;
+  /// Copies the local particles with identity origins; no communication.
+  fcs::SolveStage begin_solve(const mpi::Comm& comm,
+                              const std::vector<domain::Vec3>& positions,
+                              const std::vector<double>& charges,
+                              const fcs::SolveOptions& options) override;
+  /// Allgathers the system and computes the reference sum.
+  fcs::SolveResult finish_solve(const mpi::Comm& comm, fcs::SolveStage&& stage,
+                                const fcs::SolveOptions& options) override;
 
  private:
   domain::Box box_;

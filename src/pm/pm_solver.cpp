@@ -69,14 +69,6 @@ void PmSolver::tune(const mpi::Comm& comm,
   tuned_ = true;
 }
 
-fcs::SolveResult PmSolver::solve(const mpi::Comm& comm,
-                                 const std::vector<domain::Vec3>& positions,
-                                 const std::vector<double>& charges,
-                                 const fcs::SolveOptions& options) {
-  return finish_solve(comm, begin_solve(comm, positions, charges, options),
-                      options);
-}
-
 fcs::SolveStage PmSolver::begin_solve(const mpi::Comm& comm,
                                       const std::vector<domain::Vec3>& positions,
                                       const std::vector<double>& charges,

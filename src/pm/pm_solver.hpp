@@ -39,12 +39,6 @@ class PmSolver final : public fcs::Solver {
             const std::vector<domain::Vec3>& positions,
             const std::vector<double>& charges) override;
 
-  fcs::SolveResult solve(const mpi::Comm& comm,
-                         const std::vector<domain::Vec3>& positions,
-                         const std::vector<double>& charges,
-                         const fcs::SolveOptions& options) override;
-
-  bool supports_staged_solve() const override { return true; }
   fcs::SolveStage begin_solve(const mpi::Comm& comm,
                               const std::vector<domain::Vec3>& positions,
                               const std::vector<double>& charges,
@@ -65,7 +59,7 @@ class PmSolver final : public fcs::Solver {
     std::uint64_t origin;
   };
 
-  /// Private payload of a staged solve: the redistributed particles (owned
+  /// Private payload of a solve stage: the redistributed particles (owned
   /// first, then ghosts), the grid they live on, and the communication
   /// regime the sort phase settled on.
   struct StageState {

@@ -73,126 +73,95 @@ void ExchangePlan::run_known(const mpi::Comm& comm, const std::byte* packed,
                                       recv_bytes_scratch_, out);
 }
 
-void FusedBatch::execute() {
-  if (segments_.empty()) return;
-  const ExchangePlan& plan = *plan_;
-  FCS_CHECK(plan.counts_known(),
+std::size_t FusedBatch::payload_bytes() const {
+  FCS_CHECK(plan_->counts_known(),
             "FusedBatch: plan receive counts not known yet");
-  const mpi::Comm& comm = *comm_;
-  obs::RankObs* const o = comm.ctx().obs();
-  obs::Span span(o, "redist.exchange.fused");
-  const int p = plan.nranks_;
-  const int r = comm.rank();
+  FCS_CHECK(segments_.size() <= 0xffff, "FusedBatch: too many segments");
+  std::size_t bytes = 0;
+  for (const Segment& s : segments_) bytes += s.item_bytes;
+  return bytes;
+}
+
+void FusedBatch::pack(const std::vector<std::size_t>& send_bytes,
+                      std::byte* buf, std::size_t total,
+                      std::uint64_t* sent_sum) const {
+  const ExchangePlan& plan = *plan_;
+  Header h;
+  h.magic = kMagic;
+  h.nseg = static_cast<std::uint16_t>(segments_.size());
+  std::size_t pos = 0;
+  for (std::size_t d = 0; d < send_bytes.size(); ++d) {
+    if (send_bytes[d] == 0) continue;
+    const std::size_t items = plan.send_counts_[d];
+    h.items = items;
+    std::memcpy(buf + pos, &h, sizeof h);
+    pos += sizeof h;
+    const std::uint32_t* slots = plan.slot_src_.data() + plan.send_offsets_[d];
+    for (const Segment& s : segments_) {
+      sortlib::gather_rows(s.src, buf + pos, slots, items, s.item_bytes);
+      if (sent_sum != nullptr)
+        *sent_sum += content_checksum(buf + pos, items, s.item_bytes);
+      pos += items * s.item_bytes;
+    }
+  }
+  FCS_ASSERT(pos == total);
+}
+
+std::vector<std::byte*> FusedBatch::resize_outputs() const {
+  const std::size_t n_recv = plan_->n_recv_total();
+  std::vector<std::byte*> out(segments_.size());
+  for (std::size_t s = 0; s < segments_.size(); ++s)
+    out[s] = segments_[s].resize_out(segments_[s].out_vec,
+                                     n_recv * segments_[s].item_bytes);
+  return out;
+}
+
+void FusedBatch::unpack(const std::vector<std::size_t>& recv_bytes,
+                        const std::byte* buf, std::size_t total,
+                        const std::vector<std::byte*>& out,
+                        std::uint64_t* recv_sum) const {
+  const ExchangePlan& plan = *plan_;
   const std::size_t nseg = segments_.size();
-  FCS_CHECK(nseg <= 0xffff, "FusedBatch: too many segments");
-  std::size_t payload_bytes = 0;  // per item, across all segments
-  for (const Segment& s : segments_) payload_bytes += s.item_bytes;
-
-  // Per-partner message size: one header plus nseg back-to-back segments.
-  auto msg_bytes = [&](std::size_t items) {
-    return items > 0 ? sizeof(Header) + items * payload_bytes : 0;
-  };
-  ExchangePlan::scratch_counts(plan.send_counts_, 1, plan.send_bytes_scratch_);
-  ExchangePlan::scratch_counts(plan.recv_counts_, 1, plan.recv_bytes_scratch_);
-  std::size_t send_total = 0;
-  std::size_t recv_total = 0;
-  for (int i = 0; i < p; ++i) {
-    plan.send_bytes_scratch_[static_cast<std::size_t>(i)] =
-        msg_bytes(plan.send_counts_[static_cast<std::size_t>(i)]);
-    plan.recv_bytes_scratch_[static_cast<std::size_t>(i)] =
-        msg_bytes(plan.recv_counts_[static_cast<std::size_t>(i)]);
-    send_total += plan.send_bytes_scratch_[static_cast<std::size_t>(i)];
-    recv_total += plan.recv_bytes_scratch_[static_cast<std::size_t>(i)];
-  }
-
-  // Pack: destination-major, one header + nseg segments per partner. All
-  // sources are read before any output vector is touched, so out MAY alias
-  // a segment's input.
-  mpi::PooledBuffer send_buf(comm.pool(), send_total, o);
-  std::uint64_t sent_sum = 0;
-  const bool validate = validation_enabled();
-  {
-    std::size_t pos = 0;
-    for (int d = 0; d < p; ++d) {
-      const std::size_t items = plan.send_counts_[static_cast<std::size_t>(d)];
-      if (items == 0) continue;
-      Header h;
-      h.magic = kMagic;
-      h.nseg = static_cast<std::uint16_t>(nseg);
-      h.items = items;
-      std::memcpy(send_buf.data() + pos, &h, sizeof h);
-      pos += sizeof h;
-      const std::size_t first = plan.send_offsets_[static_cast<std::size_t>(d)];
-      for (const Segment& s : segments_) {
-        sortlib::gather_rows(s.src, send_buf.data() + pos,
-                             plan.slot_src_.data() + first, items,
-                             s.item_bytes);
-        if (validate)
-          sent_sum += content_checksum(send_buf.data() + pos, items,
-                                       s.item_bytes);
-        pos += items * s.item_bytes;
-      }
+  std::size_t pos = 0;
+  for (std::size_t src = 0; src < recv_bytes.size(); ++src) {
+    if (recv_bytes[src] == 0) continue;
+    const std::size_t items = plan.recv_counts_[src];
+    Header h;
+    std::memcpy(&h, buf + pos, sizeof h);
+    FCS_CHECK(h.magic == kMagic && h.nseg == nseg && h.items == items,
+              "FusedBatch: malformed fused message from rank " << src);
+    pos += sizeof h;
+    const std::size_t slot0 = plan.recv_offsets_[src];
+    for (std::size_t s = 0; s < nseg; ++s) {
+      const std::size_t ib = segments_[s].item_bytes;
+      if (placement_ == nullptr)
+        std::memcpy(out[s] + slot0 * ib, buf + pos, items * ib);
+      else
+        sortlib::scatter_rows(buf + pos, out[s], placement_ + slot0, items,
+                              ib);
+      if (recv_sum != nullptr)
+        *recv_sum += content_checksum(buf + pos, items, ib);
+      pos += items * ib;
     }
-    FCS_ASSERT(pos == send_total);
   }
+  FCS_ASSERT(pos == total);
+}
 
-  mpi::PooledBuffer recv_buf(comm.pool(), recv_total, o);
-  if (plan.kind_ == ExchangeKind::kDense)
-    comm.alltoallv_bytes_known(send_buf.data(), plan.send_bytes_scratch_,
-                               plan.recv_bytes_scratch_, recv_buf.data());
-  else
-    comm.sparse_alltoallv_bytes_known(send_buf.data(),
-                                      plan.send_bytes_scratch_,
-                                      plan.recv_bytes_scratch_,
-                                      recv_buf.data());
-
-  // Unpack: resize outputs now that every source has been read, then copy
-  // each segment out, grouped by source rank in plan slot order (or
-  // scattered through the placement permutation).
-  const std::size_t n_recv = plan.n_recv_total();
-  std::vector<std::byte*> out_ptr(nseg);
-  for (std::size_t s = 0; s < nseg; ++s)
-    out_ptr[s] =
-        segments_[s].resize_out(segments_[s].out_vec,
-                                n_recv * segments_[s].item_bytes);
-  std::uint64_t recv_sum = 0;
-  {
-    std::size_t pos = 0;
-    for (int src = 0; src < p; ++src) {
-      const std::size_t items =
-          plan.recv_counts_[static_cast<std::size_t>(src)];
-      if (items == 0) continue;
-      Header h;
-      std::memcpy(&h, recv_buf.data() + pos, sizeof h);
-      FCS_CHECK(h.magic == kMagic && h.nseg == nseg && h.items == items,
-                "FusedBatch: malformed fused message from rank " << src);
-      pos += sizeof h;
-      const std::size_t slot0 =
-          plan.recv_offsets_[static_cast<std::size_t>(src)];
-      for (std::size_t s = 0; s < nseg; ++s) {
-        const std::size_t ib = segments_[s].item_bytes;
-        if (placement_ == nullptr)
-          std::memcpy(out_ptr[s] + slot0 * ib, recv_buf.data() + pos,
-                      items * ib);
-        else
-          sortlib::scatter_rows(recv_buf.data() + pos, out_ptr[s],
-                                placement_ + slot0, items, ib);
-        if (validate)
-          recv_sum += content_checksum(recv_buf.data() + pos, items, ib);
-        pos += items * ib;
-      }
-    }
-    FCS_ASSERT(pos == recv_total);
-  }
+void FusedBatch::finish(bool validate, std::uint64_t sent_sum,
+                        std::uint64_t recv_sum) {
+  const ExchangePlan& plan = *plan_;
+  const mpi::Comm& comm = *comm_;
+  const std::size_t nseg = segments_.size();
   if (validate)
-    validate_exchange(comm, "fused_exchange",
-                      plan.n_send_slots() * nseg, sent_sum, n_recv * nseg,
-                      recv_sum);
-
-  if (o != nullptr) {
+    validate_exchange(comm, "fused_exchange", plan.n_send_slots() * nseg,
+                      sent_sum, plan.n_recv_total() * nseg, recv_sum);
+  if (obs::RankObs* const o = comm.ctx().obs(); o != nullptr) {
+    const std::size_t payload = payload_bytes();
     std::size_t moved = 0;
-    for (int i = 0; i < p; ++i)
-      if (i != r) moved += plan.send_bytes_scratch_[static_cast<std::size_t>(i)];
+    for (int i = 0; i < plan.nranks_; ++i)
+      if (i != comm.rank())
+        moved += msg_bytes(plan.send_counts_[static_cast<std::size_t>(i)],
+                           payload);
     o->add("redist.fused.batches", 1.0);
     o->add("redist.fused.segments", static_cast<double>(nseg));
     o->add("redist.fused.elements",
@@ -202,28 +171,58 @@ void FusedBatch::execute() {
   segments_.clear();
 }
 
+void FusedBatch::execute() {
+  if (segments_.empty()) return;
+  const std::size_t payload = payload_bytes();
+  const ExchangePlan& plan = *plan_;
+  const mpi::Comm& comm = *comm_;
+  obs::RankObs* const o = comm.ctx().obs();
+  obs::Span span(o, "redist.exchange.fused");
+
+  // The per-partner message sizes go into the plan's byte-count scratch,
+  // which run_known sends on.
+  const auto p = static_cast<std::size_t>(plan.nranks_);
+  std::vector<std::size_t>& send_bytes = plan.send_bytes_scratch_;
+  std::vector<std::size_t>& recv_bytes = plan.recv_bytes_scratch_;
+  send_bytes.resize(p);
+  recv_bytes.resize(p);
+  std::size_t send_total = 0;
+  std::size_t recv_total = 0;
+  for (std::size_t i = 0; i < p; ++i) {
+    send_bytes[i] = msg_bytes(plan.send_counts_[i], payload);
+    recv_bytes[i] = msg_bytes(plan.recv_counts_[i], payload);
+    send_total += send_bytes[i];
+    recv_total += recv_bytes[i];
+  }
+
+  const bool validate = validation_enabled();
+  std::uint64_t sent_sum = 0;
+  std::uint64_t recv_sum = 0;
+  mpi::PooledBuffer send_buf(comm.pool(), send_total, o);
+  pack(send_bytes, send_buf.data(), send_total,
+       validate ? &sent_sum : nullptr);
+  mpi::PooledBuffer recv_buf(comm.pool(), recv_total, o);
+  plan.run_known(comm, send_buf.data(), recv_buf.data());
+  unpack(recv_bytes, recv_buf.data(), recv_total, resize_outputs(),
+         validate ? &recv_sum : nullptr);
+  finish(validate, sent_sum, recv_sum);
+}
+
 std::size_t FusedBatch::async_begin(std::size_t slabs) {
   FCS_CHECK(async_ == nullptr, "FusedBatch: async run already in progress");
   if (segments_.empty()) return 0;
+  const std::size_t payload = payload_bytes();
   const ExchangePlan& plan = *plan_;
-  FCS_CHECK(plan.counts_known(),
-            "FusedBatch: plan receive counts not known yet");
   const mpi::Comm& comm = *comm_;
   obs::RankObs* const o = comm.ctx().obs();
   const int p = plan.nranks_;
   const int r = comm.rank();
-  FCS_CHECK(segments_.size() <= 0xffff, "FusedBatch: too many segments");
 
   auto run = std::make_unique<AsyncRun>();
-  for (const Segment& s : segments_) run->payload_bytes += s.item_bytes;
   run->validate = validation_enabled();
   run->slabs = std::max<std::size_t>(
       1, std::min(slabs, static_cast<std::size_t>(p)));
   run->slab.resize(run->slabs);
-
-  const auto msg_bytes = [&](std::size_t items) {
-    return items > 0 ? sizeof(Header) + items * run->payload_bytes : 0;
-  };
   for (AsyncSlab& sl : run->slab) {
     sl.send_bytes.assign(static_cast<std::size_t>(p), 0);
     sl.recv_bytes.assign(static_cast<std::size_t>(p), 0);
@@ -231,9 +230,9 @@ std::size_t FusedBatch::async_begin(std::size_t slabs) {
   for (int i = 0; i < p; ++i) {
     AsyncSlab& sl = run->slab[static_cast<std::size_t>(r + i) % run->slabs];
     const std::size_t sb =
-        msg_bytes(plan.send_counts_[static_cast<std::size_t>(i)]);
+        msg_bytes(plan.send_counts_[static_cast<std::size_t>(i)], payload);
     const std::size_t rb =
-        msg_bytes(plan.recv_counts_[static_cast<std::size_t>(i)]);
+        msg_bytes(plan.recv_counts_[static_cast<std::size_t>(i)], payload);
     sl.send_bytes[static_cast<std::size_t>(i)] = sb;
     sl.recv_bytes[static_cast<std::size_t>(i)] = rb;
     sl.send_total += sb;
@@ -254,34 +253,12 @@ std::size_t FusedBatch::async_begin(std::size_t slabs) {
 void FusedBatch::async_pack(std::size_t k) {
   FCS_CHECK(async_ != nullptr && k < async_->slabs,
             "FusedBatch::async_pack: no async run / bad slab");
-  const ExchangePlan& plan = *plan_;
   AsyncSlab& sl = async_->slab[k];
   FCS_CHECK(!sl.packed, "FusedBatch::async_pack: slab " << k
                             << " already packed");
   sl.packed = true;
-  const int p = plan.nranks_;
-  const std::size_t nseg = segments_.size();
-  std::size_t pos = 0;
-  for (int d = 0; d < p; ++d) {
-    if (sl.send_bytes[static_cast<std::size_t>(d)] == 0) continue;
-    const std::size_t items = plan.send_counts_[static_cast<std::size_t>(d)];
-    Header h;
-    h.magic = kMagic;
-    h.nseg = static_cast<std::uint16_t>(nseg);
-    h.items = items;
-    std::memcpy(sl.send_buf->data() + pos, &h, sizeof h);
-    pos += sizeof h;
-    const std::size_t first = plan.send_offsets_[static_cast<std::size_t>(d)];
-    for (const Segment& s : segments_) {
-      sortlib::gather_rows(s.src, sl.send_buf->data() + pos,
-                           plan.slot_src_.data() + first, items, s.item_bytes);
-      if (async_->validate)
-        async_->sent_sum +=
-            content_checksum(sl.send_buf->data() + pos, items, s.item_bytes);
-      pos += items * s.item_bytes;
-    }
-  }
-  FCS_ASSERT(pos == sl.send_total);
+  pack(sl.send_bytes, sl.send_buf->data(), sl.send_total,
+       async_->validate ? &async_->sent_sum : nullptr);
 }
 
 mpi::Request FusedBatch::async_start(std::size_t k) {
@@ -311,65 +288,14 @@ mpi::Request FusedBatch::async_start(std::size_t k) {
 
 void FusedBatch::async_finish() {
   FCS_CHECK(async_ != nullptr, "FusedBatch::async_finish: no async run");
-  const ExchangePlan& plan = *plan_;
-  const mpi::Comm& comm = *comm_;
-  obs::RankObs* const o = comm.ctx().obs();
-  const int p = plan.nranks_;
-  const int r = comm.rank();
-  const std::size_t nseg = segments_.size();
-
-  // Resize every output now that all slabs are packed and received (outputs
-  // may alias segment inputs; see add()).
-  const std::size_t n_recv = plan.n_recv_total();
-  std::vector<std::byte*> out_ptr(nseg);
-  for (std::size_t s = 0; s < nseg; ++s)
-    out_ptr[s] = segments_[s].resize_out(segments_[s].out_vec,
-                                         n_recv * segments_[s].item_bytes);
+  // Outputs are resized only now that every slab is packed and received
+  // (they may alias segment inputs; see add()).
+  const std::vector<std::byte*> out = resize_outputs();
   std::uint64_t recv_sum = 0;
-  for (AsyncSlab& sl : async_->slab) {
-    std::size_t pos = 0;
-    for (int src = 0; src < p; ++src) {
-      if (sl.recv_bytes[static_cast<std::size_t>(src)] == 0) continue;
-      const std::size_t items =
-          plan.recv_counts_[static_cast<std::size_t>(src)];
-      Header h;
-      std::memcpy(&h, sl.recv_buf->data() + pos, sizeof h);
-      FCS_CHECK(h.magic == kMagic && h.nseg == nseg && h.items == items,
-                "FusedBatch: malformed fused message from rank " << src);
-      pos += sizeof h;
-      const std::size_t slot0 =
-          plan.recv_offsets_[static_cast<std::size_t>(src)];
-      for (std::size_t s = 0; s < nseg; ++s) {
-        const std::size_t ib = segments_[s].item_bytes;
-        if (placement_ == nullptr)
-          std::memcpy(out_ptr[s] + slot0 * ib, sl.recv_buf->data() + pos,
-                      items * ib);
-        else
-          sortlib::scatter_rows(sl.recv_buf->data() + pos, out_ptr[s],
-                                placement_ + slot0, items, ib);
-        if (async_->validate)
-          recv_sum += content_checksum(sl.recv_buf->data() + pos, items, ib);
-        pos += items * ib;
-      }
-    }
-    FCS_ASSERT(pos == sl.recv_total);
-  }
-  if (async_->validate)
-    validate_exchange(comm, "fused_exchange", plan.n_send_slots() * nseg,
-                      async_->sent_sum, n_recv * nseg, recv_sum);
-
-  if (o != nullptr) {
-    std::size_t moved = 0;
-    for (const AsyncSlab& sl : async_->slab)
-      for (int i = 0; i < p; ++i)
-        if (i != r) moved += sl.send_bytes[static_cast<std::size_t>(i)];
-    o->add("redist.fused.batches", 1.0);
-    o->add("redist.fused.segments", static_cast<double>(nseg));
-    o->add("redist.fused.elements",
-           static_cast<double>(plan.n_send_slots() * nseg));
-    o->add("redist.fused.bytes_moved", static_cast<double>(moved));
-  }
-  segments_.clear();
+  for (const AsyncSlab& sl : async_->slab)
+    unpack(sl.recv_bytes, sl.recv_buf->data(), sl.recv_total, out,
+           async_->validate ? &recv_sum : nullptr);
+  finish(async_->validate, async_->sent_sum, recv_sum);
   async_.reset();
 }
 

@@ -349,11 +349,41 @@ class FusedBatch {
   };
   struct AsyncRun {
     std::size_t slabs = 0;
-    std::size_t payload_bytes = 0;  // per item, across all segments
     std::uint64_t sent_sum = 0;
     bool validate = false;
     std::vector<AsyncSlab> slab;
   };
+
+  // The pack/unpack machinery both schedules (execute() and the slabbed
+  // async run) share.
+
+  /// Per-item bytes across all segments; checks the batch can run.
+  std::size_t payload_bytes() const;
+  /// Per-partner message size: one header plus the segments back to back
+  /// (zero for a partner that exchanges no items).
+  static std::size_t msg_bytes(std::size_t items, std::size_t payload) {
+    return items > 0 ? sizeof(Header) + items * payload : 0;
+  }
+  /// Pack the message of every partner d with send_bytes[d] > 0 into `buf`
+  /// (`total` bytes), destination-major: the header, then each segment's
+  /// rows in plan slot order. Adds the payload checksum to *sent_sum when
+  /// non-null.
+  void pack(const std::vector<std::size_t>& send_bytes, std::byte* buf,
+            std::size_t total, std::uint64_t* sent_sum) const;
+  /// Resize every output to the received element count and return the
+  /// base pointers. Call only once every source has been read: outputs may
+  /// alias segment inputs.
+  std::vector<std::byte*> resize_outputs() const;
+  /// Unpack the message of every source with recv_bytes[src] > 0 from
+  /// `buf`, checking its header; segment rows land at their plan receive
+  /// slots (or scattered through the placement). Adds the payload checksum
+  /// to *recv_sum when non-null.
+  void unpack(const std::vector<std::size_t>& recv_bytes, const std::byte* buf,
+              std::size_t total, const std::vector<std::byte*>& out,
+              std::uint64_t* recv_sum) const;
+  /// Validate the checksums (when `validate`), count redist.fused.*, and
+  /// clear the batch.
+  void finish(bool validate, std::uint64_t sent_sum, std::uint64_t recv_sum);
 
   const mpi::Comm* comm_;
   const ExchangePlan* plan_;

@@ -154,10 +154,10 @@ class RankCtx {
 
   /// Raise an engine-wide revocation: every live blocked rank is woken and
   /// its next recv throws RankFailedError(-1) unless it is in recovery mode.
-  /// There is no scoped form: a revoke from any communicator, a `split`
-  /// child included, reaches every rank of the engine. Idempotent while this
-  /// rank has not yet acknowledged the current revocation, so concurrent
-  /// detectors raise exactly one epoch.
+  /// There is no scoped form: a revoke from any communicator reaches every
+  /// rank of the engine. Idempotent while this rank has not yet
+  /// acknowledged the current revocation, so concurrent detectors raise
+  /// exactly one epoch.
   void revoke();
   /// A revocation was raised that this rank has not acknowledged yet.
   bool revoked() const;

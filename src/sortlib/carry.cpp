@@ -105,6 +105,9 @@ void carry_exchange(const mpi::Comm& comm, bool sparse,
   for (int d = 0; d < p; ++d) {
     const std::size_t c_d = dest_counts[static_cast<std::size_t>(d)];
     send_bytes[static_cast<std::size_t>(d)] = c_d * row_bytes;
+    // An empty block copies nothing, and its source or destination pointers
+    // may be null (memcpy forbids null even for zero bytes).
+    if (c_d == 0) continue;
     std::byte* dst = packed.data() + off;
     if (slot_src == nullptr)
       std::memcpy(dst, items + slot_off * item_bytes, c_d * item_bytes);
@@ -146,6 +149,7 @@ void carry_exchange(const mpi::Comm& comm, bool sparse,
   std::size_t row_off = 0;  // received row offset
   for (int s = 0; s < p; ++s) {
     const std::size_t c_s = recv_bytes[static_cast<std::size_t>(s)] / row_bytes;
+    if (c_s == 0) continue;  // empty block (see the pack loop)
     const std::byte* blk = raw.data() + src_off;
     std::memcpy(out_items.data() + row_off * item_bytes, blk,
                 c_s * item_bytes);

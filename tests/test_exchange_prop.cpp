@@ -1,7 +1,8 @@
 // Property tests for the redistribution layer (redist/exchange_plan.*):
 // deterministic randomized distribution functions drive the fused
 // ExchangePlan / FusedBatch path and the one-exchange-per-field path over the
-// same data, asserting bit-identical results - including under
+// same data (the fused batch on both of its schedules, execute() and the
+// slabbed asynchronous one), asserting bit-identical results - including under
 // duplicate/ghost targets, empty ranks, self-only traffic, and all-to-one
 // hotspots - and checking both against a sequential reference each rank
 // computes locally (every input is a pure function of seed, rank and item).
@@ -11,6 +12,7 @@
 // exchange path (pool.alloc stops growing).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -254,6 +256,32 @@ TEST_P(ExchangeProp, FusedPathIsBitIdenticalToPerFieldLegacy) {
     expect_bytes_equal(g1, want1, "fused f1 vs sequential reference");
     expect_bytes_equal(g3, want3, "fused f3 vs sequential reference");
     expect_bytes_equal(g2, want2, "fused i2 vs sequential reference");
+
+    // The slabbed asynchronous schedule of the same batch (the overlapped
+    // fcs_run's), at slab counts from one up to more than there are ranks.
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                static_cast<std::size_t>(p) + 1}) {
+      SCOPED_TRACE("slabs " + std::to_string(k));
+      std::vector<double> h1 = f1, h3 = f3;
+      std::vector<std::int64_t> h2 = i2;
+      batch.add(h1, 1, h1);
+      batch.add(h3, 3, h3);
+      batch.add(h2, 2, h2);
+      const std::size_t nslabs = batch.async_begin(k);
+      ASSERT_EQ(nslabs, std::min(k, static_cast<std::size_t>(p)));
+      for (std::size_t i = 0; i < nslabs; ++i) {
+        batch.async_pack(i);
+        batch.async_start(i).wait();
+      }
+      batch.async_finish();
+      EXPECT_EQ(batch.segment_count(), 0u);
+      expect_bytes_equal(h1, g1, "async f1 vs execute");
+      expect_bytes_equal(h3, g3, "async f3 vs execute");
+      expect_bytes_equal(h2, g2, "async i2 vs execute");
+      expect_bytes_equal(h1, want1, "async f1 vs sequential reference");
+      expect_bytes_equal(h3, want3, "async f3 vs sequential reference");
+      expect_bytes_equal(h2, want2, "async i2 vs sequential reference");
+    }
 
     // Conservation across the communicator.
     const auto slots = c.allreduce(

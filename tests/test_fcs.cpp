@@ -493,9 +493,11 @@ TEST(FcsTaskOverlap, TaskModeActuallyEngagesTheGraph) {
   EXPECT_NE(reduced.find("redist.fused.async_runs"), reduced.end());
 }
 
-TEST(FcsTaskOverlap, FallsBackToPhasedForUnstagedSolver) {
-  // "direct" has no staged solve: FCS_TASK=1 must quietly run phased and
-  // stay correct.
+TEST(FcsTaskOverlap, DirectSolverOverlapsBitIdentically) {
+  // "direct" splits into a communication-free begin_solve and a
+  // finish_solve that allgathers and computes: under FCS_TASK=1 it runs the
+  // overlapped graph like fmm and pm, and must match the phased run bit for
+  // bit.
   const TestSystem sys = make_system(4);
   run_ranks(3, [&](mpi::Comm& c) {
     const TaskRunOut phased = run_staged(sys, c, "direct", 0, 0);

@@ -290,7 +290,8 @@ TEST_P(FmmSolverRanks, MatchesDirectSum) {
     solver.set_accuracy(1e-3);
     solver.tune(c, pos, q);
     fcs::SolveOptions opts;
-    auto result = solver.solve(c, pos, q, opts);
+    auto result = solver.finish_solve(
+        c, solver.begin_solve(c, pos, q, opts), opts);
 
     double err2 = 0, ref2 = 0, ferr2 = 0, fref2 = 0;
     for (std::size_t i = 0; i < result.positions.size(); ++i) {
@@ -327,13 +328,16 @@ TEST(FmmSolverModes, MergeSortPathSameResult) {
     solver.set_accuracy(1e-2);
     solver.tune(c, pos, q);
     fcs::SolveOptions first;
-    auto r1 = solver.solve(c, pos, q, first);
+    auto r1 = solver.finish_solve(
+        c, solver.begin_solve(c, pos, q, first), first);
     EXPECT_FALSE(solver.last_used_merge_sort());
 
     fcs::SolveOptions second;
     second.input_in_solver_order = true;
     second.max_particle_move = 0.0;
-    auto r2 = solver.solve(c, r1.positions, r1.charges, second);
+    auto r2 = solver.finish_solve(
+        c, solver.begin_solve(c, r1.positions, r1.charges, second),
+        second);
     EXPECT_TRUE(solver.last_used_merge_sort());
     // Same particles, same totals.
     double e1 = 0, e2 = 0;
@@ -356,9 +360,12 @@ TEST(FmmSolverModes, PeriodicBoxOnlyWithModeledCompute) {
     std::vector<double> q = {1.0};
     solver.tune(c, pos, q);
     fcs::SolveOptions opts;
-    EXPECT_THROW(solver.solve(c, pos, q, opts), fcs::Error);
+    EXPECT_THROW(
+        solver.finish_solve(c, solver.begin_solve(c, pos, q, opts), opts),
+        fcs::Error);
     opts.modeled_compute = true;
-    EXPECT_NO_THROW(solver.solve(c, pos, q, opts));
+    EXPECT_NO_THROW(
+        solver.finish_solve(c, solver.begin_solve(c, pos, q, opts), opts));
   });
 }
 

@@ -309,7 +309,8 @@ TEST_P(PmSolverRanks, MatchesEwaldReference) {
     solver.set_mesh(32);
     solver.tune(c, pos, q);
     fcs::SolveOptions opts;
-    auto result = solver.solve(c, pos, q, opts);
+    auto result = solver.finish_solve(
+        c, solver.begin_solve(c, pos, q, opts), opts);
 
     // Match results back to the oracle through the origin indices.
     double err2 = 0, ref2 = 0;
@@ -360,13 +361,16 @@ TEST(PmSolverModes, NeighborhoodPathProducesSameResult) {
     solver.tune(c, pos, q);
 
     fcs::SolveOptions first;
-    auto r1 = solver.solve(c, pos, q, first);
+    auto r1 = solver.finish_solve(
+        c, solver.begin_solve(c, pos, q, first), first);
     EXPECT_FALSE(solver.last_used_neighborhood());
 
     fcs::SolveOptions second;
     second.input_in_solver_order = true;
     second.max_particle_move = 0.0;
-    auto r2 = solver.solve(c, r1.positions, r1.charges, second);
+    auto r2 = solver.finish_solve(
+        c, solver.begin_solve(c, r1.positions, r1.charges, second),
+        second);
     EXPECT_TRUE(solver.last_used_neighborhood());
     ASSERT_EQ(r1.potentials.size(), r2.potentials.size());
     for (std::size_t i = 0; i < r1.potentials.size(); ++i)

@@ -1,7 +1,7 @@
 // Progress engine (minimpi/async.cpp) and task-graph executor
 // (task/task_graph.cpp): request lifecycle, non-blocking vs blocking
-// bit-identity, deterministic overlap scheduling, and cancel-on-revoke
-// under the fault model.
+// bit-identity, deterministic overlap scheduling, and a pending request
+// under revocation in the fault model.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -24,18 +24,31 @@ double counter_sum(const obs::Recorder& rec, const std::string& name) {
 }
 
 // ---------------------------------------------------------------------------
-// Request lifecycle
+// Request lifecycle, on the one non-blocking operation: the known-size sparse
+// exchange
+
+/// Per-rank byte counts with a single nonzero entry: `bytes` at `partner`.
+std::vector<std::size_t> one_partner(const mpi::Comm& c, int partner,
+                                     std::size_t bytes) {
+  std::vector<std::size_t> v(static_cast<std::size_t>(c.size()), 0);
+  v[static_cast<std::size_t>(partner)] = bytes;
+  return v;
+}
 
 TEST(AsyncRequest, TestBeforeCompletionDoesNotBlock) {
   run_ranks(2, [](mpi::Comm& c) {
+    const std::vector<std::size_t> none(2, 0);
     if (c.rank() == 1) {
       c.ctx().advance(1.0e-3);  // the payload cannot exist before this
       const int x = 42;
-      c.send(&x, 1, 0, 7);
+      c.isparse_alltoallv_bytes_known(&x, one_partner(c, 0, sizeof x), none,
+                                      nullptr)
+          .wait();
       return;
     }
     int payload = 0;
-    mpi::Request rq = c.irecv(&payload, 1, 1, 7);
+    mpi::Request rq = c.isparse_alltoallv_bytes_known(
+        nullptr, none, one_partner(c, 1, sizeof payload), &payload);
     ASSERT_TRUE(rq.valid());
     // At virtual t=0 the sender has not even produced the message, so a
     // poll must report "not yet" and leave the clock before the send time.
@@ -43,56 +56,38 @@ TEST(AsyncRequest, TestBeforeCompletionDoesNotBlock) {
     EXPECT_LT(c.ctx().now(), 1.0e-3);
     mpi::Status st = rq.wait();
     EXPECT_FALSE(rq.valid());  // completion invalidates the handle
-    EXPECT_EQ(st.source, 1);
+    EXPECT_EQ(st.bytes, sizeof payload);
     EXPECT_EQ(payload, 42);
     EXPECT_GE(c.ctx().now(), 1.0e-3);
   });
 }
 
-TEST(AsyncRequest, WaitAllCompletesEveryRequestInIndexOrder) {
-  run_ranks(4, [](mpi::Comm& c) {
-    if (c.rank() != 0) {
-      // Staggered senders: later ranks inject later.
-      c.ctx().advance(1.0e-4 * c.rank());
-      const int x = 100 + c.rank();
-      c.send(&x, 1, 0, 9);
-      return;
-    }
-    int payload[3] = {0, 0, 0};
-    mpi::Request rqs[3];
-    for (int src = 1; src < 4; ++src)
-      rqs[src - 1] = c.irecv(&payload[src - 1], 1, src, 9);
-    mpi::Request::wait_all(rqs, 3);
-    for (int src = 1; src < 4; ++src) {
-      EXPECT_FALSE(rqs[src - 1].valid());
-      EXPECT_EQ(payload[src - 1], 100 + src);
-    }
-    // wait_all blocks until the LAST arrival.
-    EXPECT_GE(c.ctx().now(), 3.0e-4);
-  });
-}
-
 TEST(AsyncRequest, SendCapturesPayloadEagerly) {
   run_ranks(2, [](mpi::Comm& c) {
+    const std::vector<std::size_t> none(2, 0);
     if (c.rank() == 0) {
       int x = 7;
-      mpi::Request rq = c.isend(&x, 1, 1, 3);
+      mpi::Request rq = c.isparse_alltoallv_bytes_known(
+          &x, one_partner(c, 1, sizeof x), none, nullptr);
       x = -1;  // the in-flight copy must be unaffected
       rq.wait();
       return;
     }
     c.ctx().advance(5.0e-4);
     int got = 0;
-    c.recv(&got, 1, 0, 3);
+    c.isparse_alltoallv_bytes_known(nullptr, none,
+                                    one_partner(c, 0, sizeof got), &got)
+        .wait();
     EXPECT_EQ(got, 7);
   });
 }
 
-TEST(AsyncRequest, CancelOnRevokeUnderFaultModel) {
-  // Rank 2 crashes while rank 0 and 1 hold pending irecvs from it. The
-  // survivors learn of the death through a blocking receive, revoke, CANCEL
-  // the outstanding requests (so wait_all cannot hang on a dead peer), and
-  // shrink to a working communicator.
+TEST(AsyncRequest, PendingRequestThrowsAfterRevoke) {
+  // Rank 2 crashes while rank 0 and 1 hold pending exchanges that expect a
+  // message from it. The survivors learn of the death through a blocking
+  // receive and revoke; polling the stale request must then throw (it can
+  // never complete) instead of spinning, and the survivors still shrink to
+  // a working communicator.
   auto rec = std::make_shared<obs::Recorder>();
   sim::EngineConfig cfg;
   cfg.nranks = 3;
@@ -107,7 +102,9 @@ TEST(AsyncRequest, CancelOnRevokeUnderFaultModel) {
       return;
     }
     int pending = 0;
-    mpi::Request rq = c.irecv(&pending, 1, 2, 11);
+    mpi::Request rq = c.isparse_alltoallv_bytes_known(
+        nullptr, std::vector<std::size_t>(3, 0),
+        one_partner(c, 2, sizeof pending), &pending);
     ASSERT_TRUE(rq.valid());
     int payload = 0;
     bool notified = false;
@@ -118,11 +115,7 @@ TEST(AsyncRequest, CancelOnRevokeUnderFaultModel) {
       c.revoke();
     }
     EXPECT_TRUE(notified);
-    rq.cancel();
-    EXPECT_FALSE(rq.valid());
-    // wait_all over cancelled/invalid handles returns immediately.
-    mpi::Request handles[2] = {rq, mpi::Request{}};
-    mpi::Request::wait_all(handles, 2);
+    EXPECT_THROW(rq.test(), mpi::RankFailedError);
 
     mpi::ShrinkResult sr = c.shrink_recover(1);
     ASSERT_EQ(sr.comm.size(), 2);
@@ -131,26 +124,14 @@ TEST(AsyncRequest, CancelOnRevokeUnderFaultModel) {
 }
 
 // ---------------------------------------------------------------------------
-// Non-blocking collectives are bit-identical to their blocking counterparts
+// The non-blocking exchange is bit-identical to the blocking ones
 
-TEST(AsyncCollectives, IAllreduceMatchesBlocking) {
-  run_ranks(5, [](mpi::Comm& c) {
-    const double in = 0.1 * (c.rank() + 1) + 1e-9 * c.rank();
-    const double blocking = c.allreduce(in, mpi::OpSum{});
-    double out = 0.0;
-    mpi::Request rq = c.iallreduce(&in, &out, 1, mpi::OpSum{});
-    rq.wait();
-    // Bit-identical: same binomial combine order.
-    EXPECT_EQ(std::memcmp(&blocking, &out, sizeof out), 0);
-  });
-}
-
-TEST(AsyncCollectives, IAlltoallvMatchesBlockingDenseAndSparse) {
+TEST(AsyncCollectives, ISparseKnownMatchesBlocking) {
   run_ranks(4, [](mpi::Comm& c) {
     const int p = c.size();
     const int r = c.rank();
     // Rank r sends (r + d + 1) bytes of pattern to destination d; rank 3
-    // sends nothing (exercises empty rows on the sparse path).
+    // sends nothing (exercises empty rows).
     std::vector<std::size_t> send_bytes(static_cast<std::size_t>(p), 0);
     if (r != 3)
       for (int d = 0; d < p; ++d)
@@ -161,40 +142,27 @@ TEST(AsyncCollectives, IAlltoallvMatchesBlockingDenseAndSparse) {
     for (std::size_t i = 0; i < in.size(); ++i)
       in[i] = static_cast<std::byte>(17 * r + i);
 
-    std::vector<std::size_t> recv_blocking;
-    const std::vector<std::byte> blocking =
-        c.alltoallv_bytes(in.data(), send_bytes, recv_blocking);
-
-    std::vector<std::size_t> recv_async;
-    std::vector<std::byte> async_out;
-    mpi::Request rq =
-        c.ialltoallv_bytes(in.data(), send_bytes, &recv_async, &async_out);
-    rq.wait();
-    EXPECT_EQ(recv_async, recv_blocking);
-    EXPECT_EQ(async_out, blocking);
-
+    std::vector<std::size_t> recv_dense;
+    const std::vector<std::byte> dense =
+        c.alltoallv_bytes(in.data(), send_bytes, recv_dense);
     std::vector<std::size_t> recv_sparse;
     const std::vector<std::byte> sparse =
         c.sparse_alltoallv_bytes(in.data(), send_bytes, recv_sparse);
-    std::vector<std::size_t> recv_isparse;
-    std::vector<std::byte> isparse_out;
-    mpi::Request srq = c.isparse_alltoallv_bytes(in.data(), send_bytes,
-                                                 &recv_isparse, &isparse_out);
-    srq.wait();
-    EXPECT_EQ(recv_isparse, recv_sparse);
-    EXPECT_EQ(isparse_out, sparse);
+    EXPECT_EQ(recv_sparse, recv_dense);
+    EXPECT_EQ(sparse, dense);
 
-    // Known-counts variants against the same payloads.
-    std::vector<std::byte> known_out(blocking.size());
-    mpi::Request krq = c.ialltoallv_bytes_known(in.data(), send_bytes,
-                                                recv_blocking, known_out.data());
-    krq.wait();
-    EXPECT_EQ(known_out, blocking);
-    std::vector<std::byte> sknown_out(sparse.size());
-    mpi::Request skrq = c.isparse_alltoallv_bytes_known(
-        in.data(), send_bytes, recv_sparse, sknown_out.data());
-    skrq.wait();
-    EXPECT_EQ(sknown_out, sparse);
+    std::vector<std::byte> known(dense.size());
+    c.sparse_alltoallv_bytes_known(in.data(), send_bytes, recv_dense,
+                                   known.data());
+    EXPECT_EQ(known, dense);
+
+    std::vector<std::byte> async_out(dense.size());
+    mpi::Request rq = c.isparse_alltoallv_bytes_known(
+        in.data(), send_bytes, recv_dense, async_out.data());
+    const mpi::Status st = rq.wait();
+    EXPECT_EQ(async_out, dense);
+    // Status counts the bytes that arrived from other ranks.
+    EXPECT_EQ(st.bytes, dense.size() - recv_dense[static_cast<std::size_t>(r)]);
   });
 }
 
