@@ -24,6 +24,10 @@
 //                 machine-readable BENCH_<figure>.json with per-series
 //                 virtual-time totals and per-step series (byte-identical
 //                 across repeated runs - CI asserts on these files)
+//
+// FCS_REDIST_VALIDATE=1 turns on conservation validation in every
+// run_configuration() run (read through sim::EngineConfig::from_env, like
+// the FCS_FAULT_* plan that fig7's faulty series uses).
 #pragma once
 
 #include <charconv>
@@ -52,6 +56,11 @@ inline std::size_t env_size(const char* name, std::size_t def) {
 inline double env_double(const char* name, double def) {
   const char* v = std::getenv(name);
   return v != nullptr ? std::strtod(v, nullptr) : def;
+}
+
+inline std::string env_string(const char* name) {
+  const char* v = std::getenv(name);
+  return v != nullptr ? std::string(v) : std::string();
 }
 
 /// The paper's benchmark box: cubic, 248^3, fully periodic.
@@ -157,10 +166,12 @@ inline void write_bench_json(const std::string& figure,
   std::printf("wrote %s\n", path.c_str());
 }
 
-/// Process-wide trace/metrics sink, configured from FIG_TRACE / FIG_METRICS.
-/// Files are written when the static session is destroyed at process exit.
+/// Process-wide trace/metrics sink, writing to the FIG_TRACE / FIG_METRICS
+/// paths. Files are written when the static session is destroyed at process
+/// exit.
 inline obs::ExportSession& obs_session() {
-  static obs::ExportSession session;
+  static obs::ExportSession session(env_string("FIG_TRACE"),
+                                    env_string("FIG_METRICS"));
   return session;
 }
 
@@ -181,6 +192,7 @@ inline SimOutcome run_configuration(
   }
   sim::EngineConfig cfg;
   cfg.nranks = nranks;
+  cfg.validate = sim::EngineConfig::from_env().validate;
   cfg.network = std::move(net);
   cfg.stack_bytes = stack_kb * 1024;
   if (faults != nullptr) cfg.fault_plan = *faults;

@@ -37,7 +37,7 @@ int main() {
   const std::size_t n = bench::env_size("FIG_N", 262144);
   const int steps = 8;
 
-  const sim::FaultPlan faults = sim::FaultPlan::from_env();
+  const sim::FaultPlan faults = sim::EngineConfig::from_env().fault_plan;
   const double rogue = bench::env_double("FCS_FAULT_ROGUE", 0.0);
   const bool faulty = faults.active() || rogue > 0.0;
   const int variants = faulty ? 6 : 5;
@@ -75,7 +75,8 @@ int main() {
       // The paper's Fig. 7 series use no movement information; the extra Bm
       // series exploits it (and Bmf stresses it under faults). Bo repeats
       // the plain B configuration through the task-graph overlapped
-      // fcs_run (FCS_TASK): identical work, exchange hidden under compute.
+      // fcs_run (cfg.overlap): identical work, exchange hidden under
+      // compute.
       // Bs repeats plain B with the columnar store carrying the integrator
       // fields inside the solver exchange.
       cfg.exploit_max_movement = variant == 2 || variant == 5;
@@ -86,14 +87,13 @@ int main() {
       const bool overlapped = variant == 3;
       const bool stored = variant == 4;
       cfg.use_store = stored;
-      if (overlapped) fcs::set_task_mode(1);
+      cfg.overlap = overlapped;
       std::string label;
       if (overlapped) label = std::string(solver) + "-B-task";
       if (stored) label = std::string(solver) + "-B-store";
       bench::SimOutcome out = bench::run_configuration(
           nranks, bench::juropa_like(), sys, solver, cfg, 256, label,
           variant == 5 ? &faults : nullptr);
-      if (overlapped) fcs::set_task_mode(-1);
       res[static_cast<std::size_t>(variant)] = std::move(out.result);
       const auto& r = res[static_cast<std::size_t>(variant)];
       bench::Series s;

@@ -34,19 +34,18 @@ void scaling_series(const char* title, const char* solver,
       cfg.resort = variant >= 1;
       cfg.exploit_max_movement = variant == 2;
       // Variant 3 repeats plain method B through the task-graph overlapped
-      // fcs_run (FCS_TASK): the resort exchange hides under the forces.
+      // fcs_run: the resort exchange hides under the forces.
       const bool overlapped = variant == 3;
+      cfg.overlap = overlapped;
       cfg.modeled_compute = true;
       cfg.surrogate_motion = true;
       // Drift like a warm melt: noticeable movement per step, well below
       // the movement heuristics' cube-side / subdomain thresholds.
       cfg.surrogate_step = 1.0;
       auto net = torus ? bench::juqueen_like(p) : bench::juropa_like();
-      if (overlapped) fcs::set_task_mode(1);
       bench::SimOutcome out = bench::run_configuration(
           p, std::move(net), sys, solver, cfg, /*stack_kb=*/192,
           overlapped ? std::string(solver) + "-B-task" : std::string{});
-      if (overlapped) fcs::set_task_mode(-1);
       t[variant] = out.result.total_time;
     }
     table.begin_row()

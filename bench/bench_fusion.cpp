@@ -140,7 +140,9 @@ int main() {
                   std::to_string(extra) + "f";
         js.total_time = s.total;
         js.per_step = s.per_step;
-        js.method = "B";
+        // Move-assigned: GCC 12 reports a bogus -Wrestrict for a one-char
+        // literal assigned into this inlined string at -O3 (GCC PR 105329).
+        js.method = std::string("B");
         js.exchange = "alltoall";
         js.network = net_name;
         all.push_back(std::move(js));

@@ -1,4 +1,5 @@
-// Overlap bench: task-graph fcs_run (FCS_TASK) vs phased execution.
+// Overlap bench: task-graph fcs_run (SimulationConfig::overlap) vs phased
+// execution.
 //
 // Method B in a redistribution-heavy regime: random initial distribution
 // with strong per-step surrogate motion, so every step pays a dense
@@ -57,11 +58,10 @@ int main() {
       // Strong motion: a sizable fraction of particles crosses subdomain
       // boundaries every step, keeping the exchange dense and heavy.
       cfg.surrogate_step = bench::env_double("OVERLAP_MOVE", 40.0);
-      fcs::set_task_mode(variant);
+      cfg.overlap = variant == 1;
       bench::SimOutcome out = bench::run_configuration(
           nranks, bench::juropa_like(), sys, solver, cfg, 256,
           std::string(solver) + (variant == 1 ? "-B-task" : "-B-phased"));
-      fcs::set_task_mode(-1);
       res[variant] = std::move(out.result);
       makespan[variant] = out.makespan;
 

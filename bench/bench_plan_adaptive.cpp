@@ -1,4 +1,4 @@
-// Adaptive-planner benchmark: does FCS_PLAN=auto track the best fixed
+// Adaptive-planner benchmark: does the "auto" planner track the best fixed
 // (method, sort, exchange) configuration across movement regimes, without
 // being told which one it is?
 //
@@ -65,7 +65,7 @@ int main() {
 
   struct Config {
     const char* name;    // series key
-    const char* spec;    // FCS_PLAN spec ("auto" or fixed:<...>)
+    const char* spec;    // plan spec ("auto" or fixed:<...>)
     const char* method;  // metadata
     const char* sort;
     const char* exchange;

@@ -119,12 +119,6 @@ class CartGrid {
     }
   }
 
-  /// Side lengths of one uniform subdomain (the mean cell for cut axes).
-  Vec3 subdomain_extent() const {
-    return {box_.extent().x / dims_[0], box_.extent().y / dims_[1],
-            box_.extent().z / dims_[2]};
-  }
-
   /// Smallest cell side length per axis - the halo bound for ghost lookups.
   Vec3 min_cell_extent() const {
     Vec3 e;

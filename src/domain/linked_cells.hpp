@@ -77,7 +77,6 @@ class LinkedCells {
         }
   }
 
-  const std::array<int, 3>& ncells() const { return ncells_; }
   double cell_size() const { return cell_size_; }
 
  private:

@@ -1,7 +1,5 @@
 #include "fcs/checkpoint.hpp"
 
-#include <cstdlib>
-
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 
@@ -15,12 +13,6 @@ constexpr int kTagSize = 1060001;
 constexpr int kTagBlob = 1060002;
 
 }  // namespace
-
-int CheckpointStore::interval_from_env(int fallback) {
-  const char* v = std::getenv("FCS_CKPT_INTERVAL");
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::atoi(v);
-}
 
 void CheckpointStore::save(const mpi::Comm& comm,
                            const std::vector<std::byte>& blob, int step_done) {

@@ -1,16 +1,17 @@
 // In-memory buddy checkpointing for rank-failure recovery (DESIGN.md §13).
 //
-// Every FCS_CKPT_INTERVAL MD steps each rank serializes its recovery state
-// (particle arrays and resorted fields, RNG engines, step counter, planner
-// and balancer adaptation state - the md driver builds the blob, this class
-// only stores and ships it) and sends a copy to its buddy, the next rank on
-// the communicator ring. Each rank therefore holds two blobs: its OWN last
-// snapshot (for its local rollback) and the GUARDED snapshot of the
-// preceding rank. When a rank dies, the survivors shrink the communicator
-// and its buddy re-hosts the lost shard from the guarded blob - recovery
-// needs no further communication beyond the shrink agreement itself. Two
-// adjacent ranks dying in the same interval lose both replicas of the blob
-// between them; that is unrecoverable by construction and reported as such.
+// Every `interval` MD steps (md::SimulationConfig::checkpoint_interval) each
+// rank serializes its recovery state (particle arrays and resorted fields,
+// RNG engines, step counter, planner and balancer adaptation state - the md
+// driver builds the blob, this class only stores and ships it) and sends a
+// copy to its buddy, the next rank on the communicator ring. Each rank
+// therefore holds two blobs: its OWN last snapshot (for its local rollback)
+// and the GUARDED snapshot of the preceding rank. When a rank dies, the
+// survivors shrink the communicator and its buddy re-hosts the lost shard
+// from the guarded blob - recovery needs no further communication beyond
+// the shrink agreement itself. Two adjacent ranks dying in the same interval
+// lose both replicas of the blob between them; that is unrecoverable by
+// construction and reported as such.
 //
 // The store retains its blob vectors across checkpoints, so once sizes
 // stabilize the steady state performs zero heap allocations (asserted by
@@ -31,9 +32,6 @@ class CheckpointStore {
  public:
   /// interval <= 0 disables checkpointing entirely.
   explicit CheckpointStore(int interval) : interval_(interval) {}
-
-  /// FCS_CKPT_INTERVAL env override on top of the programmatic value.
-  static int interval_from_env(int fallback);
 
   bool enabled() const { return interval_ > 0; }
   int interval() const { return interval_; }

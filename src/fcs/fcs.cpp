@@ -1,6 +1,5 @@
 #include "fcs/fcs.hpp"
 
-#include <cstdlib>
 #include <optional>
 
 #include "redist/conserve.hpp"
@@ -15,47 +14,14 @@ using domain::Vec3;
 
 namespace {
 
-int g_task_override = -1;
-std::size_t g_slab_override = 0;
+// Slabs the overlapped run splits the staged-field exchange into (fewer when
+// the communicator is smaller): each slab is packed, sent and in flight while
+// the next one is packed and the forces compute.
+constexpr std::size_t kOverlapSlabs = 4;
 
-bool env_task() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("FCS_TASK");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }();
-  return enabled;
-}
-
-std::size_t env_task_slabs() {
-  static const std::size_t slabs = [] {
-    const char* v = std::getenv("FCS_TASK_SLABS");
-    if (v == nullptr || v[0] == '\0') return std::size_t{4};
-    const long n = std::strtol(v, nullptr, 10);
-    return n > 0 ? static_cast<std::size_t>(n) : std::size_t{1};
-  }();
-  return slabs;
-}
-
-}  // namespace
-
-bool task_enabled() {
-  if (g_task_override >= 0) return g_task_override != 0;
-  return env_task();
-}
-
-void set_task_mode(int enabled) { g_task_override = enabled; }
-
-std::size_t task_slabs() {
-  return g_slab_override > 0 ? g_slab_override : env_task_slabs();
-}
-
-void set_task_slabs(std::size_t slabs) { g_slab_override = slabs; }
-
-namespace {
-
-/// Conservation validation of a whole run (FCS_REDIST_VALIDATE): the global
-/// particle count and an order-independent charge checksum must be the same
-/// before and after all redistribution. Charges are copied, never
+/// Conservation validation of a whole run (sim::EngineConfig::validate): the
+/// global particle count and an order-independent charge checksum must be
+/// the same before and after all redistribution. Charges are copied, never
 /// recomputed, so the comparison is exact down to the bit pattern.
 void validate_run(const mpi::Comm& comm, std::size_t n_in,
                   std::uint64_t charge_sum_in,
@@ -114,7 +80,7 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
   obs::Span run_span(ctx, "fcs.run");
   obs::count(ctx.obs(), "fcs.run.calls", 1.0);
   const std::size_t n_original = positions.size();
-  const bool validate = redist::validation_enabled();
+  const bool validate = ctx.config().validate;
   const std::uint64_t charge_sum_in =
       validate ? redist::content_checksum(charges.data(), charges.size(),
                                           sizeof(double))
@@ -142,7 +108,7 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
     rplan = planner_->decide(comm_, din);
     want_resort = rplan.method != plan::Method::kA;
     // Only the movement-bound arm exploits the bound: methods A and B must
-    // run the paper's bound-free code paths (FCS_PLAN=fixed:A / fixed:B
+    // run the paper's bound-free code paths (fixed:A / fixed:B plans
     // reproduce the corresponding figure series).
     if (rplan.method != plan::Method::kBMaxMove) bound = -1.0;
   }
@@ -168,7 +134,7 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
   }
 
   // --- Solve: phased, or overlapped through the task graph ------------------
-  const bool use_task = task_enabled() && want_resort;
+  const bool use_task = options.overlap && want_resort;
   SolveResult solved;
   PhaseTimes task_times;       // resort-machinery time of the overlapped path
   bool task_resorted = false;  // the graph already ran the resort machinery
@@ -198,7 +164,7 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
         build_resort_plan(stage->partial.origin, n_original,
                           stage->partial.resort_kind);
         batch = run_batch(stage->partial.fields_carried);
-        if (batch) nslabs = batch->async_begin(task_slabs());
+        if (batch) nslabs = batch->async_begin(kOverlapSlabs);
       }
       // The overlapped graph: per-slab pack -> async exchange, the force
       // computation running while the slabs are in flight, one unpack once

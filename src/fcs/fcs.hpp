@@ -78,27 +78,16 @@ class ResortBatch {
 /// Create a solver by name: "fmm", "pm" (alias "p2nfft"), or "direct".
 std::unique_ptr<Solver> create_solver(const std::string& method);
 
-/// Is the task-graph overlapped fcs_run enabled? Reads FCS_TASK once
-/// (default OFF; set to 1 to overlap method-B redistribution with the force
-/// computation through the progress engine) unless overridden by
-/// set_task_mode(). Must be consistent across ranks. Results are
-/// bit-identical to the phased path; only the virtual-time schedule differs.
-bool task_enabled();
-
-/// Override the env knob: 1 = on, 0 = off, -1 = back to the environment.
-void set_task_mode(int enabled);
-
-/// Number of slabs the overlapped run splits the staged-field exchange into
-/// (FCS_TASK_SLABS, default 4, minimum 1) unless overridden by
-/// set_task_slabs(0 = back to the environment).
-std::size_t task_slabs();
-void set_task_slabs(std::size_t slabs);
-
 struct RunOptions {
   bool resort = false;             // method B
   double max_particle_move = -1.0;  // hint for the solver heuristics
   std::size_t max_local = 0;        // array capacity; 0 = unbounded
   bool modeled_compute = false;     // benchmarks: model the force math
+  /// Overlap a resorting run's redistribution with the force computation
+  /// through the task graph and the progress engine. Results are
+  /// bit-identical to the phased schedule; only the virtual-time schedule
+  /// differs. Must be the same on every rank.
+  bool overlap = false;
 };
 
 struct RunResult {
@@ -175,8 +164,8 @@ class Fcs {
   /// Queue per-particle data to travel WITH the next run instead of a
   /// separate resort_* call afterwards: if that run resorts (method B), the
   /// staged fields are exchanged through the run's own resort machinery -
-  /// overlapped with the force computation when the task mode (FCS_TASK=1)
-  /// is on - and `values` is replaced (resized to the changed count). If the
+  /// overlapped with the force computation under RunOptions::overlap - and
+  /// `values` is replaced (resized to the changed count). If the
   /// run restores instead, the staged fields are left untouched. The queue
   /// is cleared by the run either way. All ranks must stage the same
   /// sequence of fields (collective symmetry), and the referenced vectors

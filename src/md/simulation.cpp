@@ -65,15 +65,17 @@ double compute_imbalance_ratio(const mpi::Comm& comm, double compute_local) {
 // --- buddy-checkpoint blob (see DESIGN.md §13) -----------------------------
 //
 // One rank's complete rollback state: the step counter, per-rank RNG
-// engines, the particle shard with every resorted field, the potentials of
-// the last solver run, and the planner/balancer adaptation state (identical
-// on all ranks, saved so a restored run replays the same decisions).
+// engines, the particle shard with every resorted field (the extra payload
+// vectors follow the charges), the potentials of the last solver run, and
+// the planner/balancer adaptation state (identical on all ranks, saved so a
+// restored run replays the same decisions).
 
 constexpr std::uint32_t kCkptMagic = 0x46435343;  // "FCSC"
 constexpr std::uint32_t kCkptVersion = 1;
 
 void write_recovery_blob(fcs::ByteWriter& w, int step_done,
                          std::size_t max_local, const LocalParticles& p,
+                         const std::vector<std::vector<Vec3>>& extras,
                          const std::vector<double>& phi, const fcs::Rng& rng,
                          const fcs::Rng& rogue_rng, fcs::Fcs& handle) {
   w.put(kCkptMagic);
@@ -86,6 +88,7 @@ void write_recovery_blob(fcs::ByteWriter& w, int step_done,
   w.put_vector(p.vel);
   w.put_vector(p.acc);
   w.put_vector(p.q);
+  for (const std::vector<Vec3>& e : extras) w.put_vector(e);
   w.put_vector(phi);
   const plan::Planner* planner = handle.planner();
   w.put(static_cast<std::uint8_t>(planner != nullptr ? 1 : 0));
@@ -95,10 +98,12 @@ void write_recovery_blob(fcs::ByteWriter& w, int step_done,
   if (balancer != nullptr) balancer->save(w);
 }
 
-/// Parse the fixed header + particle arrays; the caller continues with the
-/// planner/balancer sections (or stops, for a guarded blob whose adaptation
-/// state is redundant). Returns the checkpointed step.
+/// Parse the fixed header + particle arrays (one extra payload vector per
+/// entry of `extras`); the caller continues with the planner/balancer
+/// sections (or stops, for a guarded blob whose adaptation state is
+/// redundant). Returns the checkpointed step.
 int read_recovery_arrays(fcs::ByteReader& r, LocalParticles& p,
+                         std::vector<std::vector<Vec3>>& extras,
                          std::vector<double>& phi, fcs::Rng& rng,
                          fcs::Rng& rogue_rng, std::size_t& max_local) {
   FCS_CHECK(r.get<std::uint32_t>() == kCkptMagic, "checkpoint blob corrupted");
@@ -112,6 +117,7 @@ int read_recovery_arrays(fcs::ByteReader& r, LocalParticles& p,
   p.vel = r.get_vector<Vec3>();
   p.acc = r.get_vector<Vec3>();
   p.q = r.get_vector<double>();
+  for (std::vector<Vec3>& e : extras) e = r.get_vector<Vec3>();
   phi = r.get_vector<double>();
   return step_done;
 }
@@ -121,17 +127,22 @@ int read_recovery_arrays(fcs::ByteReader& r, LocalParticles& p,
 /// dropped: the shard continues under its new host's RNG stream, and the
 /// adaptation state is identical on every rank anyway.
 void append_guarded_shard(fcs::ByteReader& r, LocalParticles& p,
+                          std::vector<std::vector<Vec3>>& extras,
                           std::vector<double>& phi) {
   LocalParticles shard;
+  std::vector<std::vector<Vec3>> shard_extras(extras.size());
   std::vector<double> shard_phi;
   fcs::Rng dead_rng, dead_rogue;
   std::size_t dead_max_local = 0;
-  read_recovery_arrays(r, shard, shard_phi, dead_rng, dead_rogue,
-                       dead_max_local);
+  read_recovery_arrays(r, shard, shard_extras, shard_phi, dead_rng,
+                       dead_rogue, dead_max_local);
   p.pos.insert(p.pos.end(), shard.pos.begin(), shard.pos.end());
   p.vel.insert(p.vel.end(), shard.vel.begin(), shard.vel.end());
   p.acc.insert(p.acc.end(), shard.acc.begin(), shard.acc.end());
   p.q.insert(p.q.end(), shard.q.begin(), shard.q.end());
+  for (std::size_t f = 0; f < extras.size(); ++f)
+    extras[f].insert(extras[f].end(), shard_extras[f].begin(),
+                     shard_extras[f].end());
   phi.insert(phi.end(), shard_phi.begin(), shard_phi.end());
 }
 
@@ -163,12 +174,12 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
   ropts.resort = cfg.resort;
   ropts.max_local = max_local;
   ropts.modeled_compute = cfg.modeled_compute;
+  ropts.overlap = cfg.overlap;
 
   if (cfg.lb.enabled) handle->set_load_balance(cfg.lb);
 
-  const plan::PlanConfig pcfg = plan::config_from_env(cfg.plan);
-  const bool plan_active = pcfg.mode != plan::PlanMode::kOff;
-  if (plan_active) handle->set_plan(pcfg);
+  const bool plan_active = cfg.plan.mode != plan::PlanMode::kOff;
+  if (plan_active) handle->set_plan(cfg.plan);
 
   // Counters recorded below are attributed to epoch 0 (setup + first solve)
   // or to the MD step index, so per-step traffic shows up in the metrics.
@@ -213,8 +224,7 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
 
   // Buddy checkpointing (DESIGN.md §13). The scratch blob and the ring map
   // are retained across checkpoints so the steady state allocates nothing.
-  fcs::CheckpointStore store(
-      fcs::CheckpointStore::interval_from_env(cfg.checkpoint_interval));
+  fcs::CheckpointStore store(cfg.checkpoint_interval);
   FCS_CHECK(!(use_store && store.enabled()),
             "the columnar store path is not covered by checkpointing (the "
             "recovery blob holds the legacy integrator arrays only)");
@@ -230,11 +240,11 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
 
   auto take_checkpoint = [&](int step_done) {
     fcs::ByteWriter measure;
-    write_recovery_blob(measure, step_done, max_local, particles, phi, rng,
-                        rogue_rng, *handle);
+    write_recovery_blob(measure, step_done, max_local, particles, extras, phi,
+                        rng, rogue_rng, *handle);
     ckpt_scratch.resize(measure.size());
     fcs::ByteWriter w(ckpt_scratch.data(), ckpt_scratch.size());
-    write_recovery_blob(w, step_done, max_local, particles, phi, rng,
+    write_recovery_blob(w, step_done, max_local, particles, extras, phi, rng,
                         rogue_rng, *handle);
     FCS_ASSERT(w.size() == ckpt_scratch.size());
     store.save(comm, ckpt_scratch, step_done);
@@ -306,12 +316,12 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
     FCS_CHECK(rebuilt != nullptr, "rebuild_handle returned a null handle");
     handle = rebuilt.get();
     if (cfg.lb.enabled) handle->set_load_balance(cfg.lb);
-    if (plan_active) handle->set_plan(pcfg);
+    if (plan_active) handle->set_plan(cfg.plan);
 
     // Roll back this rank's own state...
     fcs::ByteReader own(store.own().data(), store.own().size());
-    const int ckpt_step =
-        read_recovery_arrays(own, particles, phi, rng, rogue_rng, max_local);
+    const int ckpt_step = read_recovery_arrays(own, particles, extras, phi,
+                                               rng, rogue_rng, max_local);
     FCS_CHECK(ckpt_step == store.step_done(), "checkpoint step mismatch");
     if (own.get<std::uint8_t>() != 0) {
       plan::Planner* planner = handle->planner();
@@ -336,7 +346,7 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
     if (std::find(failed_since_ckpt.begin(), failed_since_ckpt.end(),
                   store.guarded_world_rank()) != failed_since_ckpt.end()) {
       fcs::ByteReader guarded(store.guarded().data(), store.guarded().size());
-      append_guarded_shard(guarded, particles, phi);
+      append_guarded_shard(guarded, particles, extras, phi);
       // This rank's capacity covers the merged shard from now on.
       if (cfg.max_local_factor > 0)
         max_local =
@@ -372,11 +382,12 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
   // One fcs_run with every integrator field following the particles (Fig. 3
   // lines 5 and 10-11). The store is staged into every run. Overlapped mode
   // stages the vectors up front so the task-graph fcs_run exchanges them
-  // while the forces compute; otherwise they follow in one resort batch. A
-  // run that restores leaves them untouched either way. `handle` is read
-  // through the reference because recovery replaces it.
+  // while the forces compute - whether the run resorts is the planner's or
+  // cfg.resort's call, so they are staged either way; otherwise they follow
+  // in one resort batch. A run that restores leaves them untouched. `handle`
+  // is read through the reference because recovery replaces it.
   auto run_and_resort = [&]() {
-    const bool staged = !use_store && fcs::task_enabled() && ropts.resort;
+    const bool staged = !use_store && cfg.overlap;
     if (staged) {
       handle->stage_vec3(particles.vel).stage_vec3(particles.acc);
       for (auto& e : extras) handle->stage_vec3(e);

@@ -44,16 +44,18 @@ struct SimulationConfig {
   /// tuning. Default-disabled: the decompositions stay static.
   lb::LbConfig lb{};
   /// Adaptive redistribution planning (src/plan), forwarded to the fcs
-  /// handle before tuning; the FCS_PLAN / FCS_PLAN_PROBE / FCS_PLAN_EWMA
-  /// environment knobs override this programmatic config. When the planner
-  /// is active it picks method/sort/exchange per step, `resort` and
-  /// `exploit_max_movement` above are ignored, and the movement bound is
-  /// always reported to the handle (the planner decides whether to use it).
+  /// handle before tuning. When the planner is active it picks
+  /// method/sort/exchange per step, `resort` and `exploit_max_movement`
+  /// above are ignored, and the movement bound is always reported to the
+  /// handle (the planner decides whether to use it).
   plan::PlanConfig plan{};
+  /// Overlapped fcs_run (fcs::RunOptions::overlap): the integrator fields
+  /// are staged into every run and travel while the forces compute.
+  bool overlap = false;
   /// In-memory buddy checkpointing (src/fcs/checkpoint.hpp): snapshot the
   /// recovery state every this many MD steps (plus once right after the
   /// initial solver run). 0 disables checkpointing, which makes any rank
-  /// failure fatal. The FCS_CKPT_INTERVAL env knob overrides this value.
+  /// failure fatal.
   int checkpoint_interval = 0;
   /// Rank-failure recovery factory: build a fresh fcs handle on the shrunk
   /// communicator, configured exactly like the original (same solver, box,
@@ -74,8 +76,7 @@ struct SimulationConfig {
   /// same exchange as the integrator fields). Models production MD codes
   /// whose particles carry more state than velocity + acceleration (old
   /// forces, virials, per-particle history); bench_overlap uses it to set
-  /// the redistribution share of a step. Not covered by checkpointing -
-  /// leave at 0 when combining with rank-crash fault plans.
+  /// the redistribution share of a step.
   std::size_t extra_vec3_fields = 0;
   /// Columnar store coupling (src/store): keep the integrator fields
   /// (velocities, accelerations, extra payload) in a store::ParticleStore
@@ -122,11 +123,11 @@ struct SimulationResult {
 /// Run the Figure 3 loop: tune, initial interactions, `steps` time steps.
 /// `handle` must have box and solver parameters configured. Collective.
 ///
-/// Fault tolerance: with checkpointing enabled (cfg.checkpoint_interval /
-/// FCS_CKPT_INTERVAL > 0) and a rebuild_handle factory configured, a rank
-/// failure under the sim fault plan is survived: the remaining ranks agree
-/// on the dead set, shrink the communicator, the buddy of each dead rank
-/// re-hosts its particle shard from the guarded checkpoint, and the loop
+/// Fault tolerance: with checkpointing enabled (cfg.checkpoint_interval > 0)
+/// and a rebuild_handle factory configured, a rank failure under the sim
+/// fault plan is survived: the remaining ranks agree on the dead set, shrink
+/// the communicator, the buddy of each dead rank re-hosts its particle shard
+/// (extra payload fields included) from the guarded checkpoint, and the loop
 /// rolls back to the checkpointed step and replays deterministically (see
 /// DESIGN.md §13). Without checkpointing the RankFailedError propagates.
 SimulationResult run_simulation(const mpi::Comm& comm, fcs::Fcs& handle,

@@ -1,24 +1,9 @@
 #include "minimpi/buffer_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 namespace mpi {
-
-namespace {
-
-std::size_t env_or(const char* name, std::size_t def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-}
-
-}  // namespace
-
-BufferPool::BufferPool()
-    : max_buffers_(env_or("FCS_POOL_MAX_BUFFERS", 16)),
-      max_bytes_(env_or("FCS_POOL_MAX_BYTES", 64ULL << 20)) {}
 
 std::vector<std::byte> BufferPool::acquire(std::size_t bytes,
                                            obs::RankObs* o) {

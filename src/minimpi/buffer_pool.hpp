@@ -9,9 +9,8 @@
 // performs zero heap allocations ("pool.alloc" stops growing - the
 // allocation-regression test in tests/test_exchange_prop.cpp asserts this).
 //
-// Sizing knobs (read once per pool, i.e. per communicator group):
-//   FCS_POOL_MAX_BUFFERS - retained buffers per pool (default 16)
-//   FCS_POOL_MAX_BYTES   - total retained capacity in bytes (default 64 MiB)
+// A pool retains at most 16 buffers and 64 MiB of capacity by default (the
+// constructor arguments); returns beyond either bound are dropped.
 //
 // Counters (per rank, epoch-attributed like all obs counters):
 //   pool.acquire - buffer requests
@@ -34,7 +33,9 @@ namespace mpi {
 
 class BufferPool {
  public:
-  BufferPool();
+  explicit BufferPool(std::size_t max_buffers = 16,
+                      std::size_t max_bytes = std::size_t{64} << 20)
+      : max_buffers_(max_buffers), max_bytes_(max_bytes) {}
 
   /// A buffer with size() == bytes; capacity may be larger (reused buffer).
   std::vector<std::byte> acquire(std::size_t bytes, obs::RankObs* o);

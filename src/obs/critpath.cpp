@@ -1,7 +1,6 @@
 #include "obs/critpath.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "support/error.hpp"
@@ -197,13 +196,6 @@ void merge_into(CritStep& total, const CritStep& step) {
 }
 
 }  // namespace
-
-CritPathOptions critpath_options_from_env() {
-  CritPathOptions opts;
-  const char* span = std::getenv("FIG_STEP_SPAN");
-  if (span != nullptr && span[0] != '\0') opts.step_span = span;
-  return opts;
-}
 
 CritPathReport build_critpath(const Recorder& rec,
                               const CritPathOptions& opts) {

@@ -14,8 +14,8 @@
 // seconds - "which messages and which ranks actually gated the step".
 //
 // Step windows are the occurrences of one designated span per rank (the MD
-// driver's "md.step"; override with FIG_STEP_SPAN). With no such spans the
-// whole run is analysed as a single window.
+// driver's "md.step" unless CritPathOptions::step_span names another). With
+// no such spans the whole run is analysed as a single window.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +60,6 @@ struct CritPathOptions {
   /// Span name whose occurrences delimit the per-rank step windows.
   std::string step_span = "md.step";
 };
-
-/// Options from the environment: FIG_STEP_SPAN overrides the step span name.
-CritPathOptions critpath_options_from_env();
 
 /// Reconstruct the critical path of a recorded run. Requires a recorder with
 /// spans enabled and balanced (no leaked spans); flow events are matched by

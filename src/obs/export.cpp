@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <unordered_set>
@@ -77,12 +76,6 @@ bool spans_ok_for_export(const Recorder& rec, const char* what) {
                leaks.size());
   return false;
 #endif
-}
-
-/// FIG_CRITPATH=0 disables the critical-path section of the metrics JSON.
-bool critpath_enabled() {
-  const char* v = std::getenv("FIG_CRITPATH");
-  return v == nullptr || std::string_view(v) != "0";
 }
 
 void write_critstep_json(std::ostream& os, const CritStep& step) {
@@ -221,10 +214,9 @@ void write_metrics_json(std::ostream& os, const std::vector<MetricsRun>& runs) {
     os << "}";
 
     // Critical-path section: only meaningful when spans (and therefore flow
-    // events) were recorded and balanced. FIG_CRITPATH=0 turns it off.
-    if (rec->record_spans() && critpath_enabled() &&
-        spans_ok_for_export(*rec, "critpath")) {
-      const CritPathOptions opts = critpath_options_from_env();
+    // events) were recorded and balanced.
+    if (rec->record_spans() && spans_ok_for_export(*rec, "critpath")) {
+      const CritPathOptions opts;
       const CritPathReport report = build_critpath(*rec, opts);
       os << ",\"critpath\":{\"step_span\":" << json_string(opts.step_span)
          << ",\"steps\":[";
@@ -239,13 +231,6 @@ void write_metrics_json(std::ostream& os, const std::vector<MetricsRun>& runs) {
     os << "}";
   }
   os << "\n]}\n";
-}
-
-ExportSession::ExportSession() {
-  const char* trace = std::getenv("FIG_TRACE");
-  const char* metrics = std::getenv("FIG_METRICS");
-  if (trace != nullptr) trace_path_ = trace;
-  if (metrics != nullptr) metrics_path_ = metrics;
 }
 
 ExportSession::ExportSession(std::string trace_path, std::string metrics_path)
@@ -273,7 +258,7 @@ void ExportSession::finish() {
   if (!trace_path_.empty()) {
     std::ofstream os(trace_path_);
     if (!os) {
-      std::fprintf(stderr, "obs: cannot open FIG_TRACE file '%s'\n",
+      std::fprintf(stderr, "obs: cannot open trace file '%s'\n",
                    trace_path_.c_str());
     } else {
       std::vector<TraceRun> traces;
@@ -286,7 +271,7 @@ void ExportSession::finish() {
   if (!metrics_path_.empty()) {
     std::ofstream os(metrics_path_);
     if (!os) {
-      std::fprintf(stderr, "obs: cannot open FIG_METRICS file '%s'\n",
+      std::fprintf(stderr, "obs: cannot open metrics file '%s'\n",
                    metrics_path_.c_str());
     } else {
       std::vector<MetricsRun> metrics;

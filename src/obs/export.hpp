@@ -10,10 +10,9 @@
 //    min/mean/max/sum - both the per-rank totals and a per-epoch breakdown -
 //    plus the rank-merged histograms.
 //
-// ExportSession is the env-var driven wrapper used by the benchmark
-// harnesses: FIG_TRACE=<file> and FIG_METRICS=<file> select the outputs, and
-// every run registered via begin_run() lands in them when the session is
-// destroyed (or finish() is called).
+// ExportSession is the wrapper used by the benchmark harnesses: it is given
+// the trace and metrics file paths, and every run registered via begin_run()
+// lands in them when the session is destroyed (or finish() is called).
 #pragma once
 
 #include <iosfwd>
@@ -42,10 +41,8 @@ void write_metrics_json(std::ostream& os, const std::vector<MetricsRun>& runs);
 
 class ExportSession {
  public:
-  /// Output paths from the FIG_TRACE / FIG_METRICS environment variables
-  /// (either may be unset; with both unset the session is disabled).
-  ExportSession();
-  /// Explicit output paths; empty string disables that output.
+  /// Output paths; an empty string disables that output, and with both
+  /// empty the session is disabled.
   ExportSession(std::string trace_path, std::string metrics_path);
   ~ExportSession();
 

@@ -14,7 +14,7 @@
 //
 // kAuto keeps a solver's built-in heuristic for that decision point, which
 // makes a plan of {method, kAuto, kAuto} bit-identical to the pre-planner
-// behaviour - the property the FCS_PLAN=fixed:<spec> override relies on to
+// behaviour - the property a "fixed:<spec>" PlanConfig relies on to
 // reproduce the paper figures.
 //
 // This header is intentionally dependency-free (enums + inline helpers

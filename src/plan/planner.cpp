@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/obs.hpp"
 #include "support/error.hpp"
@@ -26,6 +25,10 @@ constexpr double kFieldBytes = 24.0;
 // (splitter probes, boundary strips, ghost refresh).
 constexpr double kResidualTraffic = 0.05;
 
+// EWMA horizon (in solver runs) of the cost-model calibration: the
+// regression step size and the rho smoothing factor are 1/horizon.
+constexpr double kEwmaHorizon = 8.0;
+
 double clampd(double v, double lo, double hi) {
   return std::min(hi, std::max(lo, v));
 }
@@ -45,8 +48,8 @@ PlanConfig parse_plan_spec(const std::string& spec) {
     return cfg;
   }
   FCS_CHECK(spec.rfind("fixed:", 0) == 0,
-            "bad FCS_PLAN spec '" << spec
-                                  << "' (want off | auto | fixed:<spec>)");
+            "bad plan spec '" << spec
+                              << "' (want off | auto | fixed:<spec>)");
   cfg.mode = PlanMode::kFixed;
   std::string rest = spec.substr(6);
   bool have_method = false;
@@ -57,7 +60,7 @@ PlanConfig parse_plan_spec(const std::string& spec) {
         rest.substr(pos, comma == std::string::npos ? comma : comma - pos);
     pos = comma == std::string::npos ? rest.size() + 1 : comma + 1;
     if (tok == "A" || tok == "B" || tok == "Bmm" || tok == "B+mm") {
-      FCS_CHECK(!have_method, "FCS_PLAN spec names two methods: " << spec);
+      FCS_CHECK(!have_method, "plan spec names two methods: " << spec);
       have_method = true;
       cfg.fixed.method = tok == "A"   ? Method::kA
                          : tok == "B" ? Method::kB
@@ -73,30 +76,11 @@ PlanConfig parse_plan_spec(const std::string& spec) {
     } else if (tok == "auto") {
       // Explicit "keep the solver heuristic" for sort/exchange.
     } else {
-      FCS_CHECK(false, "bad FCS_PLAN token '" << tok << "' in " << spec);
+      FCS_CHECK(false, "bad plan spec token '" << tok << "' in " << spec);
     }
   }
   FCS_CHECK(have_method,
-            "FCS_PLAN fixed spec needs a method (A | B | B+mm): " << spec);
-  return cfg;
-}
-
-PlanConfig config_from_env(const PlanConfig& fallback) {
-  PlanConfig cfg = fallback;
-  if (const char* spec = std::getenv("FCS_PLAN");
-      spec != nullptr && *spec != '\0') {
-    const double probe = cfg.probe_rate;
-    const double ewma = cfg.ewma_horizon;
-    cfg = parse_plan_spec(spec);
-    cfg.probe_rate = probe;
-    cfg.ewma_horizon = ewma;
-  }
-  if (const char* v = std::getenv("FCS_PLAN_PROBE");
-      v != nullptr && *v != '\0')
-    cfg.probe_rate = std::strtod(v, nullptr);
-  if (const char* v = std::getenv("FCS_PLAN_EWMA");
-      v != nullptr && *v != '\0')
-    cfg.ewma_horizon = std::strtod(v, nullptr);
+            "fixed plan spec needs a method (A | B | B+mm): " << spec);
   return cfg;
 }
 
@@ -134,7 +118,6 @@ void CostModel::update(const Features& f, double observed, double eta) {
 Planner::Planner(const PlanConfig& cfg) : cfg_(cfg) {
   FCS_CHECK(cfg_.probe_rate >= 0.0 && cfg_.probe_rate <= 1.0,
             "plan probe rate must be in [0, 1]");
-  FCS_CHECK(cfg_.ewma_horizon >= 1.0, "plan EWMA horizon must be >= 1");
   rho_.fill(1.0);
 }
 
@@ -151,7 +134,7 @@ double Planner::bin_prediction(CostBin bin) const { return predict_bin(bin); }
 
 void Planner::observe_bin(CostBin bin, double observed) {
   const std::size_t b = static_cast<std::size_t>(bin);
-  const double eta = 1.0 / cfg_.ewma_horizon;
+  const double eta = 1.0 / kEwmaHorizon;
   const double base = std::max(model_.predict(features_[b]), 1e-30);
   const double r = clampd(observed / base, 1e-2, 1e2);
   rho_[b] = rho_set_[b] ? (1.0 - eta) * rho_[b] + eta * r : r;

@@ -47,7 +47,8 @@ enum class PlanMode {
   kAuto    // cost-model-driven choice, calibrated online
 };
 
-/// Knobs (env: FCS_PLAN, FCS_PLAN_PROBE, FCS_PLAN_EWMA; see README).
+/// The planner's settings, handed to fcs::Fcs::set_plan (or through
+/// md::SimulationConfig::plan) by value.
 struct PlanConfig {
   PlanMode mode = PlanMode::kOff;
   /// The plan emitted every step in kFixed mode.
@@ -56,19 +57,12 @@ struct PlanConfig {
   /// schedule is deterministic: one probe every round(1/rate) decisions
   /// (after a short cold-start holdoff); 0 disables probing.
   double probe_rate = 1.0 / 32.0;
-  /// EWMA horizon (in solver runs) of the cost-model calibration; the
-  /// regression step size and the rho smoothing factor are 1/horizon.
-  double ewma_horizon = 8.0;
 };
 
-/// Parse an FCS_PLAN spec: "off" | "auto" | "fixed:<method>[,<sort>]
+/// Parse a plan spec: "off" | "auto" | "fixed:<method>[,<sort>]
 /// [,<exchange>]" with method A | B | Bmm | B+mm, sort partition | merge,
 /// exchange atasp | alltoall | neigh | neighborhood. Throws on bad specs.
 PlanConfig parse_plan_spec(const std::string& spec);
-
-/// Env override: FCS_PLAN (whole-spec), FCS_PLAN_PROBE, FCS_PLAN_EWMA on
-/// top of `fallback` (the programmatic config).
-PlanConfig config_from_env(const PlanConfig& fallback);
 
 /// The phase-cost bins the planner predicts and calibrates. A bin is an
 /// (arm, phase) combination, not a mechanism: a step that chose B+mm but was

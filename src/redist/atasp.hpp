@@ -56,7 +56,7 @@ std::vector<T> fine_grained_redistribute(
       kind);
   std::vector<T> received = plan.exchange_initial(comm, items.data());
 
-  if (validation_enabled()) {
+  if (comm.ctx().config().validate) {
     // Order-independent wrap-sum: hashing the sent elements one by one
     // through the slot map gives the same total as hashing the packed
     // buffer.

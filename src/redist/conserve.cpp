@@ -1,32 +1,9 @@
 #include "redist/conserve.hpp"
 
-#include <cstdlib>
-
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 
 namespace redist {
-
-namespace {
-
-int g_validation_override = -1;
-
-bool env_validation() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("FCS_REDIST_VALIDATE");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }();
-  return enabled;
-}
-
-}  // namespace
-
-bool validation_enabled() {
-  if (g_validation_override >= 0) return g_validation_override != 0;
-  return env_validation();
-}
-
-void set_validation(int enabled) { g_validation_override = enabled; }
 
 std::uint64_t content_checksum(const void* data, std::size_t n,
                                std::size_t elem_bytes) {

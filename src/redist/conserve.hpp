@@ -10,8 +10,9 @@
 // over the received bytes.
 //
 // The check costs one small allreduce per exchange plus a linear hash over
-// the payloads, so it is off by default and enabled via FCS_REDIST_VALIDATE=1
-// (or programmatically for tests). A violation throws fcs::Error naming the
+// the payloads, so it is off by default; sim::EngineConfig::validate turns
+// it on for every exchange of an engine (FCS_REDIST_VALIDATE=1 through
+// sim::EngineConfig::from_env). A violation throws fcs::Error naming the
 // operation - a deterministic diagnostic instead of silent corruption.
 #pragma once
 
@@ -21,13 +22,6 @@
 #include "minimpi/comm.hpp"
 
 namespace redist {
-
-/// Is conservation validation enabled? Reads FCS_REDIST_VALIDATE once unless
-/// overridden by set_validation().
-bool validation_enabled();
-
-/// Override the env knob: 1 = on, 0 = off, -1 = back to the environment.
-void set_validation(int enabled);
 
 /// Order-independent checksum of `n` elements of `elem_bytes` each: the
 /// wrap-around sum of per-element FNV-1a hashes. Permutation-invariant (so

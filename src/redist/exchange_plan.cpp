@@ -195,7 +195,7 @@ void FusedBatch::execute() {
     recv_total += recv_bytes[i];
   }
 
-  const bool validate = validation_enabled();
+  const bool validate = comm.ctx().config().validate;
   std::uint64_t sent_sum = 0;
   std::uint64_t recv_sum = 0;
   mpi::PooledBuffer send_buf(comm.pool(), send_total, o);
@@ -219,7 +219,7 @@ std::size_t FusedBatch::async_begin(std::size_t slabs) {
   const int r = comm.rank();
 
   auto run = std::make_unique<AsyncRun>();
-  run->validate = validation_enabled();
+  run->validate = comm.ctx().config().validate;
   run->slabs = std::max<std::size_t>(
       1, std::min(slabs, static_cast<std::size_t>(p)));
   run->slab.resize(run->slabs);

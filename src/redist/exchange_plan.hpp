@@ -179,7 +179,7 @@ class ExchangePlan {
     std::vector<T> out(n_recv_total() * components);
     if (placement == nullptr) {
       run_known(comm, packed.data(), reinterpret_cast<std::byte*>(out.data()));
-      if (validation_enabled())
+      if (comm.ctx().config().validate)
         validate_exchange(
             comm, "exchange_plan_apply", slot_src_.size(),
             content_checksum(packed.data(), slot_src_.size(), item_bytes),
@@ -188,7 +188,7 @@ class ExchangePlan {
     } else {
       mpi::PooledBuffer staged(comm.pool(), n_recv_total() * item_bytes, o);
       run_known(comm, packed.data(), staged.data());
-      if (validation_enabled())
+      if (comm.ctx().config().validate)
         validate_exchange(
             comm, "exchange_plan_apply", slot_src_.size(),
             content_checksum(packed.data(), slot_src_.size(), item_bytes),

@@ -96,7 +96,7 @@ std::vector<T> neighborhood_alltoallv(const mpi::Comm& comm,
       at += blk.size() / sizeof(T);
     }
   }
-  if (validation_enabled())
+  if (comm.ctx().config().validate)
     validate_exchange(comm, "neighborhood_alltoallv", offsets.back(),
                       content_checksum(data, offsets.back(), sizeof(T)),
                       out.size(),

@@ -126,7 +126,7 @@ void resort_rows(const mpi::Comm& comm,
       kind == ExchangeKind::kDense
           ? comm.alltoallv_bytes(packed.data(), send_bytes, recv_bytes)
           : comm.sparse_alltoallv_bytes(packed.data(), send_bytes, recv_bytes);
-  if (validation_enabled())
+  if (comm.ctx().config().validate)
     validate_exchange(
         comm, "resort_values", packed.size() / elem_bytes,
         content_checksum(packed.data(), packed.size() / elem_bytes, elem_bytes),

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
@@ -8,6 +9,32 @@
 #include "support/error.hpp"
 
 namespace sim {
+
+namespace {
+
+double env_double(const char* name, double def) {
+  const char* v = std::getenv(name);
+  return v != nullptr ? std::strtod(v, nullptr) : def;
+}
+
+std::uint64_t env_u64(const char* name, std::uint64_t def) {
+  const char* v = std::getenv(name);
+  return v != nullptr ? std::strtoull(v, nullptr, 10) : def;
+}
+
+}  // namespace
+
+EngineConfig EngineConfig::from_env() {
+  EngineConfig cfg;
+  FaultPlan& plan = cfg.fault_plan;
+  plan.seed = env_u64("FCS_FAULT_SEED", plan.seed);
+  plan.drop_rate = env_double("FCS_FAULT_DROP", plan.drop_rate);
+  plan.duplicate_rate = env_double("FCS_FAULT_DUP", plan.duplicate_rate);
+  plan.jitter_rate = env_double("FCS_FAULT_JITTER", plan.jitter_rate);
+  const char* v = std::getenv("FCS_REDIST_VALIDATE");
+  cfg.validate = v != nullptr && v[0] != '\0' && v[0] != '0';
+  return cfg;
+}
 
 int RankCtx::nranks() const { return engine_->config().nranks; }
 
@@ -306,13 +333,6 @@ void RankCtx::yield() {
 
 bool RankCtx::rank_failed(int world_rank) const {
   return engine_->rank_dead(world_rank);
-}
-
-std::vector<int> RankCtx::failed_ranks() const {
-  std::vector<int> out;
-  for (int r = 0; r < engine_->config().nranks; ++r)
-    if (engine_->rank_dead(r)) out.push_back(r);
-  return out;
 }
 
 void RankCtx::revoke() {

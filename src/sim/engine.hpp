@@ -76,6 +76,19 @@ struct EngineConfig {
   /// (the default) keeps the send path fault-free at the cost of one
   /// pointer check.
   FaultPlan fault_plan;
+  /// Conservation validation (see redist/conserve.hpp): every
+  /// redistribution primitive and every fcs_run verify that globally sent ==
+  /// received, in count and content, at the price of one small allreduce
+  /// per exchange. Read by the library through RankCtx::config().
+  bool validate = false;
+
+  /// The library's one reader of the environment (see README, "Robustness
+  /// testing"): the fault plan's seed and drop / duplicate / jitter rates
+  /// from FCS_FAULT_SEED / FCS_FAULT_DROP / FCS_FAULT_DUP /
+  /// FCS_FAULT_JITTER, and `validate` from FCS_REDIST_VALIDATE (unset, empty
+  /// or a leading '0' = off). Unset variables keep the defaults above, so
+  /// with nothing set the result equals EngineConfig{}.
+  static EngineConfig from_env();
 };
 
 /// Handle the rank body uses to talk to the engine. One per rank, valid only
@@ -114,9 +127,6 @@ class RankCtx {
   /// CPU clock).
   void charge_nic(double seconds);
 
-  /// Virtual time until which the NIC is busy injecting prior async sends.
-  double nic_busy_until() const { return nic_busy_until_; }
-
   struct RecvInfo {
     int src = 0;
     std::uint64_t tag = 0;
@@ -148,9 +158,6 @@ class RankCtx {
 
   /// Has the engine declared this world rank dead?
   bool rank_failed(int world_rank) const;
-  /// Snapshot of all declared-dead world ranks, ascending. Monotone: the
-  /// set only grows over a run.
-  std::vector<int> failed_ranks() const;
 
   /// Raise an engine-wide revocation: every live blocked rank is woken and
   /// its next recv throws RankFailedError(-1) unless it is in recovery mode.

@@ -1,72 +1,12 @@
 #include "sim/fault.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
-#include <string>
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace sim {
-
-namespace {
-
-double env_double(const char* name, double def) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtod(v, nullptr) : def;
-}
-
-std::uint64_t env_u64(const char* name, std::uint64_t def) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : def;
-}
-
-/// Parse FCS_FAULT_CRASH: comma-separated "rank@vtime" entries, e.g.
-/// "3@0.005,7@0.012".
-std::vector<FaultPlan::Crash> parse_crashes(const char* spec) {
-  std::vector<FaultPlan::Crash> crashes;
-  const std::string s(spec);
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string entry = s.substr(pos, comma - pos);
-    const std::size_t at = entry.find('@');
-    FCS_CHECK(at != std::string::npos && at > 0 && at + 1 < entry.size(),
-              "FCS_FAULT_CRASH: entry '" << entry
-                  << "' is not of the form rank@vtime");
-    FaultPlan::Crash c;
-    c.rank = std::stoi(entry.substr(0, at));
-    c.at = std::stod(entry.substr(at + 1));
-    crashes.push_back(c);
-    pos = comma + 1;
-  }
-  return crashes;
-}
-
-}  // namespace
-
-FaultPlan FaultPlan::from_env() {
-  FaultPlan plan;
-  plan.seed = env_u64("FCS_FAULT_SEED", plan.seed);
-  plan.drop_rate = env_double("FCS_FAULT_DROP", plan.drop_rate);
-  plan.duplicate_rate = env_double("FCS_FAULT_DUP", plan.duplicate_rate);
-  plan.jitter_rate = env_double("FCS_FAULT_JITTER", plan.jitter_rate);
-  plan.jitter_max = env_double("FCS_FAULT_JITTER_MAX", plan.jitter_max);
-  plan.window_begin = env_double("FCS_FAULT_BEGIN", plan.window_begin);
-  plan.window_end = env_double("FCS_FAULT_END", plan.window_end);
-  plan.reliable = env_u64("FCS_FAULT_RELIABLE", plan.reliable ? 1 : 0) != 0;
-  plan.rto = env_double("FCS_FAULT_RTO", plan.rto);
-  if (const char* v = std::getenv("FCS_FAULT_CRASH"); v != nullptr && *v)
-    plan.crashes = parse_crashes(v);
-  plan.crash_rate = env_double("FCS_FAULT_CRASH_RATE", plan.crash_rate);
-  plan.detect_timeout = env_double("FCS_FAULT_DETECT", plan.detect_timeout);
-  plan.max_retry = static_cast<int>(
-      env_u64("FCS_FAULT_MAX_RETRY",
-              static_cast<std::uint64_t>(plan.max_retry)));
-  return plan;
-}
 
 FaultInjector::FaultInjector(FaultPlan plan, int nranks)
     : plan_(std::move(plan)), ranks_(static_cast<std::size_t>(nranks)) {

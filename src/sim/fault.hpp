@@ -89,11 +89,6 @@ struct FaultPlan {
   bool active() const {
     return affects_messages() || affects_ranks() || !stalls.empty();
   }
-
-  /// Build a plan from the FCS_FAULT_* environment knobs (see README,
-  /// "Robustness testing"). Unset variables keep the defaults above; with
-  /// nothing set the returned plan is inactive.
-  static FaultPlan from_env();
 };
 
 class FaultInjector {

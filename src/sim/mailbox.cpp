@@ -6,14 +6,11 @@
 
 namespace sim {
 
-Mailbox::Mailbox(int nranks)
-    : queues_(static_cast<std::size_t>(nranks)),
-      pending_(static_cast<std::size_t>(nranks), 0) {}
+Mailbox::Mailbox(int nranks) : queues_(static_cast<std::size_t>(nranks)) {}
 
 void Mailbox::deliver(int dst, Message m) {
   FCS_ASSERT(dst >= 0 && static_cast<std::size_t>(dst) < queues_.size());
   queues_[static_cast<std::size_t>(dst)][m.src].push_back(std::move(m));
-  ++pending_[static_cast<std::size_t>(dst)];
 }
 
 std::size_t Mailbox::find_in_source(const std::deque<Message>& q,
@@ -61,7 +58,6 @@ std::optional<Message> Mailbox::try_match(int dst, int src, std::int64_t tag) {
   chosen->second.erase(chosen->second.begin() +
                        static_cast<std::ptrdiff_t>(chosen_index));
   if (chosen->second.empty()) by_source.erase(chosen);
-  --pending_[static_cast<std::size_t>(dst)];
   return out;
 }
 
@@ -103,7 +99,6 @@ std::optional<Message> Mailbox::try_match_arrived(int dst, int src,
   chosen->second.erase(chosen->second.begin() +
                        static_cast<std::ptrdiff_t>(chosen_index));
   if (chosen->second.empty()) by_source.erase(chosen);
-  --pending_[static_cast<std::size_t>(dst)];
   return out;
 }
 
@@ -120,16 +115,6 @@ bool Mailbox::has_match(int dst, int src, std::int64_t tag) const {
   return false;
 }
 
-std::size_t Mailbox::pending_total() const {
-  std::size_t n = 0;
-  for (std::size_t p : pending_) n += p;
-  return n;
-}
-
-std::size_t Mailbox::pending_for(int dst) const {
-  return pending_[static_cast<std::size_t>(dst)];
-}
-
 std::size_t Mailbox::purge(int dst,
                            const std::function<bool(const Message&)>& keep) {
   auto& by_source = queues_[static_cast<std::size_t>(dst)];
@@ -143,7 +128,6 @@ std::size_t Mailbox::purge(int dst,
       }
       dropped_bytes += q[i].payload.size();
       q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-      --pending_[static_cast<std::size_t>(dst)];
     }
     it = q.empty() ? by_source.erase(it) : std::next(it);
   }

@@ -59,10 +59,6 @@ class Mailbox {
   /// True if some message for dst matches (src, tag) - used by probe.
   bool has_match(int dst, int src, std::int64_t tag) const;
 
-  /// Number of undelivered messages across all ranks (leak check in tests).
-  std::size_t pending_total() const;
-  std::size_t pending_for(int dst) const;
-
   /// Drop every pending message of `dst` for which `keep` returns false
   /// (keep == nullptr drops everything). Returns the number of payload
   /// bytes discarded. Used by the recovery path to flush traffic of aborted
@@ -83,7 +79,6 @@ class Mailbox {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   std::vector<SourceQueues> queues_;  // one map per destination rank
-  std::vector<std::size_t> pending_;  // per-destination message count
   std::uint64_t seq_counter_ = 0;
 };
 

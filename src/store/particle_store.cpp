@@ -1,6 +1,5 @@
 #include "store/particle_store.hpp"
 
-#include "domain/morton.hpp"
 #include "redist/resort.hpp"
 #include "support/error.hpp"
 
@@ -58,10 +57,6 @@ void ParticleStore::check_view(std::size_t id, std::size_t elem_bytes) const {
                 << field_type_name(spec.type) << ", "
                 << field_type_bytes(spec.type) << "-byte components) with a "
                 << elem_bytes << "-byte element type");
-}
-
-void ParticleStore::encode_keys(const domain::Box& box, int level) {
-  domain::morton_keys_batch(box, level, pos(), n_rows_, keys());
 }
 
 void ParticleStore::permute(const std::uint32_t* order, std::size_t n) {

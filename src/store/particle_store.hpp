@@ -24,7 +24,7 @@
 #include <memory>
 #include <vector>
 
-#include "domain/box.hpp"
+#include "domain/vec3.hpp"
 #include "redist/exchange_plan.hpp"
 #include "sortlib/carry.hpp"
 #include "store/field_registry.hpp"
@@ -83,9 +83,6 @@ class ParticleStore {
   const domain::Vec3* vel() const { return view<domain::Vec3>(kVel); }
   const domain::Vec3* acc() const { return view<domain::Vec3>(kAcc); }
   const std::uint64_t* keys() const { return view<std::uint64_t>(kKey); }
-
-  /// Fill the key column from the position column (batched Morton encode).
-  void encode_keys(const domain::Box& box, int level);
 
   /// Reorder every column by `order` (new row k = old row order[k]); n must
   /// equal the current row count.

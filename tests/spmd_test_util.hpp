@@ -12,17 +12,27 @@
 
 namespace fcs_test {
 
+/// A fault-free engine config for `nranks` ranks that keeps the
+/// environment's conservation validation (FCS_REDIST_VALIDATE), for tests
+/// that set up their own engine (recorder, network, fault plan).
+inline sim::EngineConfig engine_config(int nranks) {
+  sim::EngineConfig cfg;
+  cfg.nranks = nranks;
+  cfg.validate = sim::EngineConfig::from_env().validate;
+  return cfg;
+}
+
 /// Run `body` across `nranks` simulated ranks on an ideal network and return
 /// the engine makespan. Exceptions from any rank propagate to the caller.
-/// Honors the FCS_FAULT_* env knobs so CI can replay the whole suite under
-/// deterministic fault injection (see .github/workflows/ci.yml).
+/// Starts from sim::EngineConfig::from_env(), so CI can replay the whole
+/// suite under deterministic fault injection and conservation validation
+/// (see .github/workflows/ci.yml).
 inline double run_ranks(int nranks,
                         const std::function<void(mpi::Comm&)>& body,
                         std::shared_ptr<const sim::NetworkModel> net = nullptr) {
-  sim::EngineConfig cfg;
+  sim::EngineConfig cfg = sim::EngineConfig::from_env();
   cfg.nranks = nranks;
   if (net) cfg.network = std::move(net);
-  cfg.fault_plan = sim::FaultPlan::from_env();
   return sim::run_spmd(cfg, [&body](sim::RankCtx& ctx) {
     mpi::Comm comm = mpi::Comm::world(ctx);
     body(comm);

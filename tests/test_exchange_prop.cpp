@@ -298,8 +298,7 @@ TEST_P(ExchangeProp, FusedPathIsBitIdenticalToPerFieldLegacy) {
 TEST_P(ExchangeProp, RepeatedAppliesAreStableAndStopAllocating) {
   const auto [p, kind, scenario] = GetParam();
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig ecfg;
-  ecfg.nranks = p;
+  sim::EngineConfig ecfg = fcs_test::engine_config(p);
   ecfg.recorder = rec;
   sim::run_spmd(ecfg, [&, p = p, kind = kind,
                        scenario = scenario](sim::RankCtx& ctx) {
@@ -484,8 +483,7 @@ md::SystemConfig prop_system() {
 double pool_alloc_after_warmup(const std::string& plan_spec, int steps,
                                int warmup) {
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig ecfg;
-  ecfg.nranks = 8;
+  sim::EngineConfig ecfg = fcs_test::engine_config(8);
   ecfg.stack_bytes = 512 * 1024;
   ecfg.recorder = rec;
   sim::Engine engine(ecfg);

@@ -15,7 +15,6 @@
 #include "obs/export.hpp"
 #include "pm/pm_solver.hpp"
 #include "redist/atasp.hpp"
-#include "redist/conserve.hpp"
 #include "redist/neighborhood.hpp"
 #include "redist/resort.hpp"
 #include "sim/fault.hpp"
@@ -35,12 +34,14 @@ sim::FaultPlan heavy_faults(std::uint64_t seed) {
   return plan;
 }
 
-/// run_ranks with an explicit fault plan and recorder.
+/// run_ranks with an explicit fault plan and recorder; `validate` turns
+/// conservation validation on regardless of the environment.
 double run_faulty(int nranks, const sim::FaultPlan& plan,
                   std::shared_ptr<obs::Recorder> recorder,
-                  const std::function<void(mpi::Comm&)>& body) {
-  sim::EngineConfig cfg;
-  cfg.nranks = nranks;
+                  const std::function<void(mpi::Comm&)>& body,
+                  bool validate = false) {
+  sim::EngineConfig cfg = fcs_test::engine_config(nranks);
+  cfg.validate = cfg.validate || validate;
   cfg.fault_plan = plan;
   cfg.recorder = std::move(recorder);
   return sim::run_spmd(cfg, [&body](sim::RankCtx& ctx) {
@@ -60,22 +61,32 @@ TEST(FaultPlan, EnvKnobsParse) {
   setenv("FCS_FAULT_DROP", "0.25", 1);
   setenv("FCS_FAULT_DUP", "0.5", 1);
   setenv("FCS_FAULT_JITTER", "0.125", 1);
-  setenv("FCS_FAULT_JITTER_MAX", "1e-5", 1);
-  setenv("FCS_FAULT_RELIABLE", "1", 1);
-  const sim::FaultPlan plan = sim::FaultPlan::from_env();
+  setenv("FCS_REDIST_VALIDATE", "1", 1);
+  const sim::EngineConfig cfg = sim::EngineConfig::from_env();
+  // Unset, empty or a leading '0' leaves validation off.
+  setenv("FCS_REDIST_VALIDATE", "", 1);
+  const bool empty_validates = sim::EngineConfig::from_env().validate;
+  setenv("FCS_REDIST_VALIDATE", "0", 1);
+  const bool zero_validates = sim::EngineConfig::from_env().validate;
   unsetenv("FCS_FAULT_SEED");
   unsetenv("FCS_FAULT_DROP");
   unsetenv("FCS_FAULT_DUP");
   unsetenv("FCS_FAULT_JITTER");
-  unsetenv("FCS_FAULT_JITTER_MAX");
-  unsetenv("FCS_FAULT_RELIABLE");
+  unsetenv("FCS_REDIST_VALIDATE");
+  const sim::EngineConfig unset = sim::EngineConfig::from_env();
+  const sim::FaultPlan& plan = cfg.fault_plan;
   EXPECT_EQ(plan.seed, 42u);
   EXPECT_DOUBLE_EQ(plan.drop_rate, 0.25);
   EXPECT_DOUBLE_EQ(plan.duplicate_rate, 0.5);
   EXPECT_DOUBLE_EQ(plan.jitter_rate, 0.125);
-  EXPECT_DOUBLE_EQ(plan.jitter_max, 1e-5);
+  EXPECT_DOUBLE_EQ(plan.jitter_max, sim::FaultPlan{}.jitter_max);
   EXPECT_TRUE(plan.reliable);
   EXPECT_TRUE(plan.active());
+  EXPECT_TRUE(cfg.validate);
+  EXPECT_FALSE(empty_validates);
+  EXPECT_FALSE(zero_validates);
+  EXPECT_FALSE(unset.validate);
+  EXPECT_FALSE(unset.fault_plan.active());
   EXPECT_FALSE(sim::FaultPlan{}.active());
 }
 
@@ -204,7 +215,6 @@ TEST(ReliableP2p, CollectivesSurviveDrops) {
 }
 
 TEST(Conservation, RedistributionPathsConserveUnderFaults) {
-  redist::set_validation(1);
   run_faulty(8, heavy_faults(23), nullptr, [](mpi::Comm& c) {
     const int p = c.size();
     const int r = c.rank();
@@ -275,15 +285,13 @@ TEST(Conservation, RedistributionPathsConserveUnderFaults) {
     ASSERT_EQ(moved.size(), 2 * n);
     for (std::size_t i = 0; i < 2 * n; ++i)
       EXPECT_DOUBLE_EQ(moved[i], prev + 0.001 * static_cast<double>(i));
-  });
-  redist::set_validation(-1);
+  }, /*validate=*/true);
 }
 
 TEST(Conservation, ValidationDetectsLostMessages) {
   // Unreliable mode with a late fault window: the sparse exchange loses
   // payload messages after NBX's counting barrier, and the conservation
   // check turns the silent loss into a diagnosed error.
-  redist::set_validation(1);
   sim::FaultPlan plan;
   plan.seed = 2;
   plan.drop_rate = 0.5;
@@ -294,13 +302,12 @@ TEST(Conservation, ValidationDetectsLostMessages) {
       std::vector<int> data(4 * static_cast<std::size_t>(c.size()), c.rank());
       std::vector<std::size_t> rc;
       (void)c.alltoallv(data.data(), counts, rc);
-    });
+    }, /*validate=*/true);
     FAIL() << "expected fcs::Error (conservation violation or deadlock)";
   } catch (const fcs::Error&) {
     // Either a conservation diagnosis or a deadlock report is acceptable -
     // both beat silent corruption.
   }
-  redist::set_validation(-1);
 }
 
 TEST(FaultDeterminism, SameSeedByteIdenticalMetrics) {
@@ -363,14 +370,13 @@ TEST(MaxMovementFallback, BoundViolationFallsBackToDenseAlltoall) {
   // reported bound every step: the PM solver must detect the violation,
   // count redist.fallback, and use the dense all-to-all - conserving every
   // particle (validated globally) instead of losing the rogue.
-  redist::set_validation(1);
   auto rec = std::make_shared<obs::Recorder>(false);
 
   // 16 ranks -> 4x2x2 grid: the x axis has non-neighbor rank pairs, so a
   // teleport can actually violate the neighborhood claim (on 2x2x2 every
   // rank is a neighbor and no violation is possible).
-  sim::EngineConfig cfg;
-  cfg.nranks = 16;
+  sim::EngineConfig cfg = fcs_test::engine_config(16);
+  cfg.validate = true;
   cfg.stack_bytes = 512 * 1024;
   cfg.recorder = rec;
   sim::Engine engine(cfg);
@@ -409,15 +415,13 @@ TEST(MaxMovementFallback, BoundViolationFallsBackToDenseAlltoall) {
   EXPECT_GT(counter_sum(*rec, "redist.dense.calls"), 0.0);
   // Conservation checks all passed (they throw on violation).
   EXPECT_GT(counter_sum(*rec, "fcs.validate.checks"), 0.0);
-  redist::set_validation(-1);
 }
 
 TEST(MaxMovementFallback, HonestBoundStillUsesNeighborhood) {
   // Control: without the rogue, the same configuration keeps the
   // neighborhood path after the first step (no fallback).
   auto rec = std::make_shared<obs::Recorder>(false);
-  sim::EngineConfig cfg;
-  cfg.nranks = 16;
+  sim::EngineConfig cfg = fcs_test::engine_config(16);
   cfg.stack_bytes = 512 * 1024;
   cfg.recorder = rec;
   sim::Engine engine(cfg);

@@ -210,8 +210,7 @@ TEST(FcsMethods, CapacityFallbackRestores) {
 TEST(FcsMethods, CapacityFallbackSendsCarriedStoreHome) {
   const TestSystem sys = make_system(5);
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig cfg;
-  cfg.nranks = 4;
+  sim::EngineConfig cfg = fcs_test::engine_config(4);
   cfg.recorder = rec;
   sim::run_spmd(cfg, [&sys](sim::RankCtx& ctx) {
     mpi::Comm c = mpi::Comm::world(ctx);
@@ -389,10 +388,7 @@ struct TaskRunOut {
 };
 
 TaskRunOut run_staged(const TestSystem& sys, mpi::Comm& c,
-                      const std::string& solver, int task_mode,
-                      std::size_t slabs) {
-  fcs::set_task_mode(task_mode);
-  fcs::set_task_slabs(slabs);
+                      const std::string& solver, bool overlap) {
   TaskRunOut o;
   deal(sys, c, o.pos, o.q);
   const std::size_t n = o.pos.size();
@@ -427,6 +423,7 @@ TaskRunOut run_staged(const TestSystem& sys, mpi::Comm& c,
   // it runs with modeled compute (the redistribution machinery under test
   // is identical either way).
   opts.modeled_compute = solver == "fmm";
+  opts.overlap = overlap;
   const fcs::RunResult rr = handle.run(o.pos, o.q, o.phi, o.field, opts);
   EXPECT_EQ(handle.staged_field_count(), 0u);  // queue clears either way
   o.resorted = rr.resorted;
@@ -449,23 +446,19 @@ TEST(FcsTaskOverlap, BitIdenticalToPhasedOnEveryCorner) {
         SCOPED_TRACE(std::string(solver) + " p=" + std::to_string(p) +
                      (net_kind == 0 ? " switched" : " torus"));
         run_ranks(p, [&, solver = std::string(solver)](mpi::Comm& c) {
-          const TaskRunOut phased = run_staged(sys, c, solver, 0, 0);
+          const TaskRunOut phased = run_staged(sys, c, solver, false);
           EXPECT_TRUE(phased.resorted);
-          // Task mode, with both a single slab and a slab count that does
-          // not divide the rank count (exercises uneven slab partitions).
-          for (const std::size_t slabs : {std::size_t{1}, std::size_t{3}}) {
-            const TaskRunOut t = run_staged(sys, c, solver, 1, slabs);
-            EXPECT_EQ(t.resorted, phased.resorted);
-            expect_bits_equal(t.pos, phased.pos, "positions");
-            expect_bits_equal(t.q, phased.q, "charges");
-            expect_bits_equal(t.phi, phased.phi, "potentials");
-            expect_bits_equal(t.field, phased.field, "field");
-            expect_bits_equal(t.extraf, phased.extraf, "staged floats");
-            expect_bits_equal(t.extrai, phased.extrai, "staged ints");
-            expect_bits_equal(t.vel, phased.vel, "staged vec3");
-          }
-          fcs::set_task_mode(-1);
-          fcs::set_task_slabs(0);
+          // The overlapped run splits the partners into min(4, p) slabs:
+          // one partner each at p = 3, uneven slabs at p = 7.
+          const TaskRunOut t = run_staged(sys, c, solver, true);
+          EXPECT_EQ(t.resorted, phased.resorted);
+          expect_bits_equal(t.pos, phased.pos, "positions");
+          expect_bits_equal(t.q, phased.q, "charges");
+          expect_bits_equal(t.phi, phased.phi, "potentials");
+          expect_bits_equal(t.field, phased.field, "field");
+          expect_bits_equal(t.extraf, phased.extraf, "staged floats");
+          expect_bits_equal(t.extrai, phased.extrai, "staged ints");
+          expect_bits_equal(t.vel, phased.vel, "staged vec3");
         }, net);
       }
     }
@@ -475,15 +468,12 @@ TEST(FcsTaskOverlap, BitIdenticalToPhasedOnEveryCorner) {
 TEST(FcsTaskOverlap, TaskModeActuallyEngagesTheGraph) {
   const TestSystem sys = make_system(5);
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig cfg;
-  cfg.nranks = 4;
+  sim::EngineConfig cfg = fcs_test::engine_config(4);
   cfg.network = std::make_shared<sim::SwitchedNetwork>();
   cfg.recorder = rec;
   sim::run_spmd(cfg, [&sys](sim::RankCtx& ctx) {
     mpi::Comm c = mpi::Comm::world(ctx);
-    (void)run_staged(sys, c, "pm", 1, 2);
-    fcs::set_task_mode(-1);
-    fcs::set_task_slabs(0);
+    (void)run_staged(sys, c, "pm", true);
   });
   const auto reduced = rec->reduce_counters();
   const auto runs = reduced.find("fcs.task.runs");
@@ -495,15 +485,13 @@ TEST(FcsTaskOverlap, TaskModeActuallyEngagesTheGraph) {
 
 TEST(FcsTaskOverlap, DirectSolverOverlapsBitIdentically) {
   // "direct" splits into a communication-free begin_solve and a
-  // finish_solve that allgathers and computes: under FCS_TASK=1 it runs the
-  // overlapped graph like fmm and pm, and must match the phased run bit for
-  // bit.
+  // finish_solve that allgathers and computes: with RunOptions::overlap it
+  // runs the overlapped graph like fmm and pm, and must match the phased run
+  // bit for bit.
   const TestSystem sys = make_system(4);
   run_ranks(3, [&](mpi::Comm& c) {
-    const TaskRunOut phased = run_staged(sys, c, "direct", 0, 0);
-    const TaskRunOut t = run_staged(sys, c, "direct", 1, 2);
-    fcs::set_task_mode(-1);
-    fcs::set_task_slabs(0);
+    const TaskRunOut phased = run_staged(sys, c, "direct", false);
+    const TaskRunOut t = run_staged(sys, c, "direct", true);
     expect_bits_equal(t.pos, phased.pos, "positions");
     expect_bits_equal(t.phi, phased.phi, "potentials");
     expect_bits_equal(t.vel, phased.vel, "staged vec3");
@@ -535,7 +523,7 @@ std::int64_t tag_i64(const Vec3& v, int route) {
 }
 
 void expect_every_field_follows(mpi::Comm& c, const TestSystem& sys,
-                                const std::string& solver) {
+                                const std::string& solver, bool overlap) {
   std::vector<Vec3> pos;
   std::vector<double> q;
   deal(sys, c, pos, q);
@@ -563,6 +551,7 @@ void expect_every_field_follows(mpi::Comm& c, const TestSystem& sys,
   fcs::RunOptions opts;
   opts.resort = true;
   opts.modeled_compute = solver == "fmm";  // periodic box: see run_staged
+  opts.overlap = overlap;
   fcs::Rng rng = fcs::Rng(91).stream(static_cast<std::uint64_t>(c.rank()));
   for (int run = 0; run < 2; ++run) {
     SCOPED_TRACE("run " + std::to_string(run));
@@ -643,23 +632,18 @@ TEST(FcsFieldRoutes, EveryFieldLandsOnItsParticle) {
   const TestSystem sys = make_system(5);
   for (const int p : {3, 7}) {
     for (const char* solver : {"pm", "fmm"}) {
-      for (const int task : {0, 1}) {
+      for (const bool overlap : {false, true}) {
         SCOPED_TRACE(std::string(solver) + " p=" + std::to_string(p) +
-                     (task ? " overlapped" : " phased"));
+                     (overlap ? " overlapped" : " phased"));
         auto rec = std::make_shared<obs::Recorder>();
-        sim::EngineConfig cfg;
+        sim::EngineConfig cfg = sim::EngineConfig::from_env();
         cfg.nranks = p;
         cfg.network = std::make_shared<sim::SwitchedNetwork>();
         cfg.recorder = rec;
-        cfg.fault_plan = sim::FaultPlan::from_env();
-        fcs::set_task_mode(task);
-        fcs::set_task_slabs(3);
-        sim::run_spmd(cfg, [&sys, solver](sim::RankCtx& ctx) {
+        sim::run_spmd(cfg, [&sys, solver, overlap](sim::RankCtx& ctx) {
           mpi::Comm c = mpi::Comm::world(ctx);
-          expect_every_field_follows(c, sys, solver);
+          expect_every_field_follows(c, sys, solver, overlap);
         });
-        fcs::set_task_mode(-1);
-        fcs::set_task_slabs(0);
         // The solver carried the store's columns in the first run only.
         const auto reduced = rec->reduce_counters();
         const auto carried = reduced.find("redist.carry.exchanges");
@@ -668,7 +652,7 @@ TEST(FcsFieldRoutes, EveryFieldLandsOnItsParticle) {
         EXPECT_TRUE(by_epoch.count(0) == 1 && by_epoch.at(0).sum > 0.0);
         EXPECT_TRUE(by_epoch.count(1) == 0 || by_epoch.at(1).sum == 0.0);
         const auto tasks = reduced.find("fcs.task.runs");
-        EXPECT_EQ(tasks != reduced.end(), task == 1);
+        EXPECT_EQ(tasks != reduced.end(), overlap);
       }
     }
   }

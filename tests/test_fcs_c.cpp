@@ -202,8 +202,7 @@ TEST(CApi, RunReportsRankFailure) {
       if (h != nullptr) fcs_destroy(h);
     }
   };
-  sim::EngineConfig ecfg;
-  ecfg.nranks = 2;
+  sim::EngineConfig ecfg = fcs_test::engine_config(2);
   ecfg.fault_plan.crashes.push_back({1, 1.0e-4});
   sim::run_spmd(ecfg, [](sim::RankCtx& ctx) {
     mpi::Comm c = mpi::Comm::world(ctx);

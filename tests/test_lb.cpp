@@ -421,8 +421,7 @@ TEST(LbEndToEnd, ClusteredFmmImbalanceDropsBelowStatic) {
 TEST(LbEndToEnd, SameConfigIsByteIdentical) {
   const auto run_once = [] {
     auto rec = std::make_shared<obs::Recorder>(/*record_spans=*/true);
-    sim::EngineConfig ecfg;
-    ecfg.nranks = 8;
+    sim::EngineConfig ecfg = fcs_test::engine_config(8);
     ecfg.recorder = rec;
     const double makespan = sim::run_spmd(ecfg, [](sim::RankCtx& ctx) {
       mpi::Comm comm = mpi::Comm::world(ctx);

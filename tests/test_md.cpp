@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "md/simulation.hpp"
 #include "minimpi/cart.hpp"
 #include "md/system.hpp"
+#include "obs/export.hpp"
 #include "spmd_test_util.hpp"
 
 using domain::Box;
@@ -239,6 +241,76 @@ TEST(Simulation, MethodAVersusBTimingShape) {
     redist_b += tb[s].sort + tb[s].resort;
   }
   EXPECT_LT(redist_b, redist_a);
+}
+
+TEST(Simulation, SettingsTravelWithEachRun) {
+  // Two configurations side by side in one process: overlapped + validated
+  // + a fixed:B planner with cfg.resort = false, then plain phased B, then
+  // the first configuration again. The planner, not cfg.resort, makes the
+  // first runs resort, and their integrator fields must still overlap with
+  // the forces. Nothing of the first run may leak into the second, and the
+  // third must replay the first exactly.
+  struct Outcome {
+    std::string metrics;  // makespan + every counter and histogram
+    double makespan = 0.0;
+    std::uint64_t state = 0;
+    std::map<std::string, obs::CounterReduction> counters;
+  };
+  auto run = [](bool first_config) {
+    auto rec = std::make_shared<obs::Recorder>();
+    sim::EngineConfig ecfg;
+    ecfg.nranks = 8;
+    ecfg.network = std::make_shared<sim::SwitchedNetwork>();
+    ecfg.recorder = rec;
+    ecfg.validate = first_config;
+    Outcome out;
+    out.makespan = sim::run_spmd(ecfg, [&](sim::RankCtx& ctx) {
+      mpi::Comm c = mpi::Comm::world(ctx);
+      const auto cfg_sys =
+          small_system(md::InitialDistribution::kRandom, 12 * 12 * 12);
+      md::LocalParticles p = md::generate_system(c, cfg_sys);
+      fcs::Fcs handle(c, "pm");
+      handle.set_common(cfg_sys.box);
+      handle.set_accuracy(1e-2);
+      md::SimulationConfig cfg;
+      cfg.box = cfg_sys.box;
+      cfg.steps = 3;
+      cfg.modeled_compute = true;
+      cfg.surrogate_motion = true;
+      cfg.surrogate_step = 0.5;
+      cfg.extra_vec3_fields = 2;
+      if (first_config) {
+        cfg.overlap = true;
+        cfg.plan = plan::parse_plan_spec("fixed:B");
+      } else {
+        cfg.resort = true;
+      }
+      const md::SimulationResult res = md::run_simulation(c, handle, p, cfg);
+      const std::uint64_t state =
+          c.allreduce(res.state_checksum, mpi::OpSum{});
+      if (c.rank() == 0) out.state = state;
+    });
+    std::ostringstream metrics;
+    obs::write_metrics_json(metrics, {{"run", out.makespan, rec.get()}});
+    out.metrics = metrics.str();
+    out.counters = rec->reduce_counters();
+    return out;
+  };
+  const Outcome first = run(true);
+  const Outcome plain = run(false);
+  const Outcome again = run(true);
+
+  EXPECT_EQ(first.makespan, again.makespan);
+  EXPECT_EQ(first.metrics, again.metrics);
+  EXPECT_EQ(first.state, again.state);
+  EXPECT_EQ(first.state, plain.state);
+  for (const char* name : {"fcs.task.runs", "redist.fused.async_runs",
+                           "redist.validate.checks", "plan.decision"}) {
+    const auto in_first = first.counters.find(name);
+    ASSERT_NE(in_first, first.counters.end()) << name;
+    EXPECT_GT(in_first->second.totals.sum, 0.0) << name;
+    EXPECT_EQ(plain.counters.count(name), 0u) << name;
+  }
 }
 
 }  // namespace

@@ -215,8 +215,7 @@ TEST(Obs, HistogramBucketEdges) {
 /// Run a 4-rank redistribution under a recorder and export both formats.
 std::pair<std::string, std::string> run_instrumented(redist::ExchangeKind kind) {
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig cfg;
-  cfg.nranks = 4;
+  sim::EngineConfig cfg = fcs_test::engine_config(4);
   cfg.recorder = rec;
   const double makespan = sim::run_spmd(cfg, [kind](sim::RankCtx& ctx) {
     mpi::Comm comm = mpi::Comm::world(ctx);
@@ -274,8 +273,7 @@ TEST(Obs, PlannerDecisionsAndMispredictsReachTheMetricsExport) {
   // count, mispredict counter + rate gauge, decide span) must land in the
   // same exports every other subsystem uses.
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig cfg;
-  cfg.nranks = 4;
+  sim::EngineConfig cfg = fcs_test::engine_config(4);
   cfg.recorder = rec;
   const double makespan = sim::run_spmd(cfg, [](sim::RankCtx& ctx) {
     mpi::Comm comm = mpi::Comm::world(ctx);
@@ -311,20 +309,18 @@ TEST(Obs, PlannerDecisionsAndMispredictsReachTheMetricsExport) {
   EXPECT_EQ(reduced.at("plan.decision").totals.sum, 4.0 * 3.0);
 }
 
-TEST(Obs, ExportSessionWritesEnvSelectedFiles) {
-  const std::string trace_path = testing::TempDir() + "/obs_env_trace.json";
-  const std::string metrics_path = testing::TempDir() + "/obs_env_metrics.json";
+TEST(Obs, ExportSessionWritesRequestedFiles) {
+  const std::string trace_path = testing::TempDir() + "/obs_session_trace.json";
+  const std::string metrics_path =
+      testing::TempDir() + "/obs_session_metrics.json";
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
-  ASSERT_EQ(::setenv("FIG_TRACE", trace_path.c_str(), 1), 0);
-  ASSERT_EQ(::setenv("FIG_METRICS", metrics_path.c_str(), 1), 0);
   {
-    obs::ExportSession session;  // reads FIG_TRACE / FIG_METRICS
+    obs::ExportSession session(trace_path, metrics_path);
     ASSERT_TRUE(session.enabled());
     ASSERT_TRUE(session.tracing());
-    sim::EngineConfig cfg;
-    cfg.nranks = 2;
-    cfg.recorder = session.begin_run("env-run");
+    sim::EngineConfig cfg = fcs_test::engine_config(2);
+    cfg.recorder = session.begin_run("session-run");
     ASSERT_NE(cfg.recorder, nullptr);
     const double makespan = sim::run_spmd(cfg, [](sim::RankCtx& ctx) {
       mpi::Comm comm = mpi::Comm::world(ctx);
@@ -333,8 +329,6 @@ TEST(Obs, ExportSessionWritesEnvSelectedFiles) {
     });
     session.end_run(makespan);
   }  // destructor writes the files
-  ::unsetenv("FIG_TRACE");
-  ::unsetenv("FIG_METRICS");
 
   std::ifstream tf(trace_path), mf(metrics_path);
   ASSERT_TRUE(tf.good()) << "trace file not written";
@@ -344,7 +338,7 @@ TEST(Obs, ExportSessionWritesEnvSelectedFiles) {
   ms << mf.rdbuf();
   EXPECT_TRUE(json_valid(ts.str()));
   EXPECT_TRUE(json_valid(ms.str()));
-  EXPECT_NE(ts.str().find("0:env-run"), std::string::npos);
+  EXPECT_NE(ts.str().find("0:session-run"), std::string::npos);
   EXPECT_NE(ts.str().find("\"phase\""), std::string::npos);
   EXPECT_NE(ms.str().find("\"mpi.barrier.calls\""), std::string::npos);
   std::remove(trace_path.c_str());
@@ -363,8 +357,7 @@ TEST(Obs, DisabledSessionReturnsNullRecorder) {
 
 TEST(Flow, MatchedEndpointsShareOneId) {
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig cfg;
-  cfg.nranks = 2;
+  sim::EngineConfig cfg = fcs_test::engine_config(2);
   cfg.recorder = rec;
   sim::run_spmd(cfg, [](sim::RankCtx& ctx) {
     if (ctx.rank() == 0) {
@@ -395,8 +388,7 @@ TEST(Flow, MatchedEndpointsShareOneId) {
 
 TEST(Flow, EarlyPostedRecvIsGatedByArrival) {
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig cfg;
-  cfg.nranks = 2;
+  sim::EngineConfig cfg = fcs_test::engine_config(2);
   cfg.recorder = rec;
   sim::run_spmd(cfg, [](sim::RankCtx& ctx) {
     if (ctx.rank() == 0) {
@@ -426,8 +418,7 @@ TEST(Flow, CollectiveRoundsAndTraceArrowsAreRecorded) {
 
 TEST(Flow, MetricsOnlyRecorderRecordsNoFlows) {
   auto rec = std::make_shared<obs::Recorder>(/*record_spans=*/false);
-  sim::EngineConfig cfg;
-  cfg.nranks = 2;
+  sim::EngineConfig cfg = fcs_test::engine_config(2);
   cfg.recorder = rec;
   sim::run_spmd(cfg, [](sim::RankCtx& ctx) {
     mpi::Comm comm = mpi::Comm::world(ctx);
@@ -539,8 +530,7 @@ TEST(Critpath, OverlappedTaskWindowsSplitExclusively) {
 
 TEST(Critpath, WaitTimeIsChargedToTheSender) {
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig cfg;
-  cfg.nranks = 2;
+  sim::EngineConfig cfg = fcs_test::engine_config(2);
   cfg.recorder = rec;
   // Non-zero wire time so the path carries a real flight segment.
   cfg.network = std::make_shared<sim::SwitchedNetwork>();
@@ -584,8 +574,7 @@ TEST(Critpath, WholeRunFallbackWhenNoStepSpans) {
   // run_instrumented has no md.step spans: the report must fall back to one
   // whole-run window (steps empty, totals still populated).
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig cfg;
-  cfg.nranks = 2;
+  sim::EngineConfig cfg = fcs_test::engine_config(2);
   cfg.recorder = rec;
   sim::run_spmd(cfg, [](sim::RankCtx& ctx) {
     obs::Span span(ctx, "only.phase");
@@ -597,21 +586,6 @@ TEST(Critpath, WholeRunFallbackWhenNoStepSpans) {
   EXPECT_GT(rep.total.path, 0.0);
   EXPECT_GT(rep.total.coverage, 0.99);
   EXPECT_TRUE(rep.total.phases.count("only.phase"));
-}
-
-TEST(Critpath, EnvKnobsSelectStepSpanAndDisableSection) {
-  ASSERT_EQ(::setenv("FIG_STEP_SPAN", "custom.window", 1), 0);
-  EXPECT_EQ(obs::critpath_options_from_env().step_span, "custom.window");
-  ::unsetenv("FIG_STEP_SPAN");
-  EXPECT_EQ(obs::critpath_options_from_env().step_span, "md.step");
-
-  const auto on = run_instrumented(redist::ExchangeKind::kDense);
-  EXPECT_NE(on.second.find("\"critpath\""), std::string::npos);
-  ASSERT_EQ(::setenv("FIG_CRITPATH", "0", 1), 0);
-  const auto off = run_instrumented(redist::ExchangeKind::kDense);
-  ::unsetenv("FIG_CRITPATH");
-  EXPECT_EQ(off.second.find("\"critpath\""), std::string::npos);
-  EXPECT_TRUE(json_valid(off.second));
 }
 
 // --- Export edge cases. -----------------------------------------------------

@@ -62,35 +62,6 @@ TEST(PlanSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(plan::parse_plan_spec("AUTO"), fcs::Error);
 }
 
-TEST(PlanSpec, EnvOverridesProgrammaticConfig) {
-  plan::PlanConfig fallback;
-  fallback.mode = plan::PlanMode::kAuto;
-  fallback.probe_rate = 0.125;
-  fallback.ewma_horizon = 4.0;
-
-  ASSERT_EQ(::setenv("FCS_PLAN", "fixed:B+mm,merge", 1), 0);
-  ASSERT_EQ(::setenv("FCS_PLAN_PROBE", "0.25", 1), 0);
-  ASSERT_EQ(::setenv("FCS_PLAN_EWMA", "16", 1), 0);
-  plan::PlanConfig cfg = plan::config_from_env(fallback);
-  EXPECT_EQ(cfg.mode, plan::PlanMode::kFixed);
-  EXPECT_EQ(cfg.fixed.method, plan::Method::kBMaxMove);
-  EXPECT_EQ(cfg.fixed.sort, plan::SortAlgo::kMerge);
-  EXPECT_DOUBLE_EQ(cfg.probe_rate, 0.25);
-  EXPECT_DOUBLE_EQ(cfg.ewma_horizon, 16.0);
-
-  // FCS_PLAN alone replaces the mode but keeps the programmatic knobs.
-  ASSERT_EQ(::unsetenv("FCS_PLAN_PROBE"), 0);
-  ASSERT_EQ(::unsetenv("FCS_PLAN_EWMA"), 0);
-  cfg = plan::config_from_env(fallback);
-  EXPECT_EQ(cfg.mode, plan::PlanMode::kFixed);
-  EXPECT_DOUBLE_EQ(cfg.probe_rate, 0.125);
-  EXPECT_DOUBLE_EQ(cfg.ewma_horizon, 4.0);
-
-  ASSERT_EQ(::unsetenv("FCS_PLAN"), 0);
-  cfg = plan::config_from_env(fallback);
-  EXPECT_EQ(cfg.mode, plan::PlanMode::kAuto);
-}
-
 TEST(PlanSpec, DecisionCodesRoundTrip) {
   const plan::RedistPlan bmm{plan::Method::kBMaxMove, plan::SortAlgo::kMerge,
                              plan::Exchange::kNeighborhood};
@@ -458,8 +429,7 @@ TEST(PlanSim, ForcedNeighborhoodDegradesToDenseFallback) {
   // to the dense all-to-all (counted as redist.fallback), not lose
   // particles or trip the non-neighbor check.
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig ecfg;
-  ecfg.nranks = 16;
+  sim::EngineConfig ecfg = fcs_test::engine_config(16);
   ecfg.stack_bytes = 512 * 1024;
   ecfg.recorder = rec;
   sim::Engine engine(ecfg);

@@ -79,8 +79,7 @@ TEST(Recovery, DetectRevokeShrinkAgree) {
   // unrelated receive from a LIVE peer and can only be freed by the
   // revocation - the wake path a recovery driver depends on.
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig cfg;
-  cfg.nranks = 4;
+  sim::EngineConfig cfg = fcs_test::engine_config(4);
   cfg.fault_plan.crashes.push_back({2, 2.0e-4});
   cfg.recorder = rec;
   sim::run_spmd(cfg, [](sim::RankCtx& ctx) {
@@ -137,8 +136,7 @@ TEST(Recovery, MaxRetryEscalatesToPeerFailure) {
   // must give up after max_retry attempts and report the peer as failed
   // instead of retrying forever.
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig cfg;
-  cfg.nranks = 2;
+  sim::EngineConfig cfg = fcs_test::engine_config(2);
   cfg.fault_plan.drop_rate = 1.0;
   cfg.fault_plan.max_retry = 4;
   cfg.fault_plan.seed = 3;
@@ -177,9 +175,7 @@ TEST(Recovery, BufferPoolAdoptFromMovesRetainedBuffers) {
   EXPECT_EQ(b.retained_bytes(), a_bytes);
 
   // Adoption into a full pool frees the excess instead of over-retaining.
-  setenv("FCS_POOL_MAX_BUFFERS", "2", 1);
-  mpi::BufferPool tight;
-  unsetenv("FCS_POOL_MAX_BUFFERS");
+  mpi::BufferPool tight(2);
   tight.adopt_from(b, nullptr);
   EXPECT_EQ(b.retained_buffers(), 0u);
   EXPECT_EQ(tight.retained_buffers(), 2u);
@@ -187,11 +183,7 @@ TEST(Recovery, BufferPoolAdoptFromMovesRetainedBuffers) {
 
 // --- checkpoint store ------------------------------------------------------
 
-TEST(Recovery, CheckpointIntervalFromEnv) {
-  EXPECT_EQ(fcs::CheckpointStore::interval_from_env(7), 7);
-  setenv("FCS_CKPT_INTERVAL", "3", 1);
-  EXPECT_EQ(fcs::CheckpointStore::interval_from_env(7), 3);
-  unsetenv("FCS_CKPT_INTERVAL");
+TEST(Recovery, CheckpointSchedule) {
   EXPECT_FALSE(fcs::CheckpointStore(0).enabled());
   fcs::CheckpointStore s(4);
   EXPECT_TRUE(s.enabled());
@@ -239,6 +231,7 @@ TEST(Recovery, CheckpointRingShipsToBuddyWithoutSteadyStateAllocation) {
 
 struct SimOutcome {
   std::uint64_t checksum = 0;
+  std::uint64_t state = 0;  // SimulationResult::state_checksum, summed
   std::uint64_t count = 0;
   double qsum = 0.0;
   int final_size = 0;
@@ -253,10 +246,10 @@ struct SimOutcome {
 SimOutcome run_md_crash(bool sparse,
                         const std::vector<sim::FaultPlan::Crash>& crashes,
                         std::shared_ptr<obs::Recorder> rec = nullptr,
-                        std::shared_ptr<const sim::NetworkModel> net = nullptr) {
+                        std::shared_ptr<const sim::NetworkModel> net = nullptr,
+                        std::size_t extra_fields = 0) {
   SimOutcome out;
-  sim::EngineConfig ecfg;
-  ecfg.nranks = 8;
+  sim::EngineConfig ecfg = fcs_test::engine_config(8);
   if (net) ecfg.network = std::move(net);
   ecfg.fault_plan.crashes = crashes;
   ecfg.recorder = std::move(rec);
@@ -288,13 +281,15 @@ SimOutcome run_md_crash(bool sparse,
     cfg.surrogate_step = 0.05;
     cfg.modeled_compute = true;
     cfg.checkpoint_interval = 10;
+    cfg.extra_vec3_fields = extra_fields;
     mpi::Comm final_comm;  // set by the factory when a recovery happens
     cfg.rebuild_handle = [&](const mpi::Comm& nc) {
       final_comm = nc;
       return make_handle(nc);
     };
 
-    md::run_simulation(world, *handle, lp, cfg);
+    const md::SimulationResult res =
+        md::run_simulation(world, *handle, lp, cfg);
 
     // A crashed rank never reaches this point (its fiber is unwound), so
     // the outcome reflects the survivors' agreed state.
@@ -302,6 +297,7 @@ SimOutcome run_md_crash(bool sparse,
     out.recovered = final_comm.valid();
     out.final_size = c.size();
     out.checksum = particle_checksum(c, lp);
+    out.state = c.allreduce(res.state_checksum, mpi::OpSum{});
     out.count = md::global_count(c, lp);
     double q = 0.0;
     for (double v : lp.q) q += v;
@@ -358,6 +354,26 @@ TEST_P(RecoveryMd, CrashAtAnyPhaseRecoversBitIdentically) {
   EXPECT_GT(counter_sum(*rec, "pool.reclaimed"), 0.0);
 }
 
+TEST_P(RecoveryMd, ExtraPayloadFieldsRecoverWithTheirParticles) {
+  // The extra payload vectors are part of the buddy checkpoint: a recovery
+  // rolls them back with the particles and re-hosts the dead shard's rows,
+  // so they keep following their particles through every later resort.
+  const bool sparse = GetParam();
+  const SimOutcome base = run_md_crash(sparse, {}, nullptr, nullptr, 2);
+  ASSERT_FALSE(base.recovered);
+  const SimOutcome early =
+      run_md_crash(sparse, {{2, 0.40 * base.makespan}}, nullptr, nullptr, 2);
+  const SimOutcome late =
+      run_md_crash(sparse, {{2, 0.70 * base.makespan}}, nullptr, nullptr, 2);
+  for (const SimOutcome& o : {early, late}) {
+    EXPECT_TRUE(o.recovered);
+    EXPECT_EQ(o.count, 512u);
+  }
+  EXPECT_EQ(early.checksum, late.checksum);
+  EXPECT_EQ(early.state, late.state)
+      << "recovered extra payload depends on the crash phase";
+}
+
 TEST(RecoveryMdMisc, RecoveredRunIsDeterministic) {
   const SimOutcome base = run_md_crash(false, {});
   const double t = 0.55 * base.makespan;
@@ -395,8 +411,7 @@ TEST(RecoveryMdMisc, AdjacentDoubleCrashIsUnrecoverable) {
 
 TEST(RecoveryMdMisc, CrashWithoutCheckpointingPropagates) {
   const SimOutcome base = run_md_crash(false, {});
-  sim::EngineConfig ecfg;
-  ecfg.nranks = 8;
+  sim::EngineConfig ecfg = fcs_test::engine_config(8);
   ecfg.fault_plan.crashes.push_back({1, 0.5 * base.makespan});
   EXPECT_THROW(
       sim::run_spmd(ecfg,

@@ -363,8 +363,7 @@ TEST(StoreProp, StoreBackedSimulationMatchesLegacyChecksum) {
 double store_pool_alloc_after_warmup(const std::string& plan_spec, int steps,
                                      int warmup, const char* carry_counter) {
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig ecfg;
-  ecfg.nranks = 8;
+  sim::EngineConfig ecfg = fcs_test::engine_config(8);
   ecfg.stack_bytes = 512 * 1024;
   ecfg.recorder = rec;
   sim::Engine engine(ecfg);

@@ -89,8 +89,7 @@ TEST(AsyncRequest, PendingRequestThrowsAfterRevoke) {
   // never complete) instead of spinning, and the survivors still shrink to
   // a working communicator.
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig cfg;
-  cfg.nranks = 3;
+  sim::EngineConfig cfg = fcs_test::engine_config(3);
   cfg.fault_plan.crashes.push_back({2, 2.0e-4});
   cfg.recorder = rec;
   sim::run_spmd(cfg, [](sim::RankCtx& ctx) {
@@ -248,8 +247,7 @@ TEST(TaskExecutor, BlocksHonestlyWhenNothingOverlaps) {
 
 TEST(TaskExecutor, EmitsObsSpansAndCounters) {
   auto rec = std::make_shared<obs::Recorder>();
-  sim::EngineConfig cfg;
-  cfg.nranks = 2;
+  sim::EngineConfig cfg = fcs_test::engine_config(2);
   cfg.recorder = rec;
   sim::run_spmd(cfg, [](sim::RankCtx& ctx) {
     mpi::Comm c = mpi::Comm::world(ctx);

@@ -441,8 +441,7 @@ bool print_breakdown(std::ostream& os, const std::vector<RunInfo>& runs,
     os << "run " << run.label << "  nranks=" << run.nranks
        << "  makespan=" << fmt_secs(run.makespan) << "\n";
     if (!run.has_critpath) {
-      os << "  (no critical-path data: re-export with FIG_TRACE set and "
-            "FIG_CRITPATH enabled)\n";
+      os << "  (no critical-path data: re-export with FIG_TRACE set)\n";
       continue;
     }
     const CritStepInfo& t = run.total;
