@@ -14,12 +14,13 @@
 // all-to-all. With FIG_METRICS set, the per-step alltoall byte counters of
 // the A/B runs versus the Bm run show the dense -> sparse switch directly.
 //
-// A fifth series "Bs" repeats the plain B configuration with the columnar
-// particle store (SimulationConfig::use_store, src/store): the integrator
-// fields travel INSIDE the solver's own redistribution exchange instead of a
-// separate per-step resort round, so the redistribution share of each step
-// drops while the physics stays bit-identical - the run asserts that the
-// B and Bs final-state checksums match and prints "store bit-identity: yes".
+// A fifth series "Bs" repeats the plain B configuration with the integrator
+// fields staged into every run (SimulationConfig::stage_fields): they travel
+// INSIDE the solver's own redistribution exchange instead of a separate
+// per-step resort round, so the redistribution share of each step drops
+// while the physics stays bit-identical - the run asserts that the B and Bs
+// final-state checksums match and prints "store bit-identity: yes" (the
+// series keeps its historical name and run label, which CI reads).
 //
 // Robustness testing (see README "Robustness testing"): when any FCS_FAULT_*
 // knob is set, a final series "Bmf" repeats the Bm configuration under the
@@ -77,8 +78,8 @@ int main() {
       // the plain B configuration through the task-graph overlapped
       // fcs_run (cfg.overlap): identical work, exchange hidden under
       // compute.
-      // Bs repeats plain B with the columnar store carrying the integrator
-      // fields inside the solver exchange.
+      // Bs repeats plain B with the staged integrator fields carried inside
+      // the solver exchange.
       cfg.exploit_max_movement = variant == 2 || variant == 5;
       cfg.modeled_compute = true;
       cfg.surrogate_motion = true;
@@ -86,7 +87,7 @@ int main() {
       if (variant == 5) cfg.rogue_rate = rogue;
       const bool overlapped = variant == 3;
       const bool stored = variant == 4;
-      cfg.use_store = stored;
+      cfg.stage_fields = stored;
       cfg.overlap = overlapped;
       std::string label;
       if (overlapped) label = std::string(solver) + "-B-task";
@@ -109,8 +110,8 @@ int main() {
       s.network = "switched";
       json_series.push_back(std::move(s));
     }
-    // The store path must be a pure transport change: the final per-particle
-    // state of the plain-B and the store-B run agree bit for bit.
+    // Carrying the fields must be a pure transport change: the final
+    // per-particle state of the plain-B and the Bs run agree bit for bit.
     FCS_CHECK(res[1].state_checksum == res[4].state_checksum,
               solver << ": store run diverged from the legacy run (checksum "
                      << res[1].state_checksum << " vs "

@@ -3,8 +3,8 @@
 // time): Morton encoding, the radix sort permutation, the serial FFT, CIC
 // stencils, and the solid-harmonics evaluation.
 //
-// The binary is self-asserting on one target: the store-backed permute+pack
-// path (key-carrying radix + width-specialized column gathers, src/store +
+// The binary is self-asserting on one target: the carried-column
+// permute+pack path (key-carrying radix + width-specialized column gathers,
 // src/sortlib) must be at least 2x faster than the pre-refactor kernels
 // (indirect radix + 72-byte AoS permutation + runtime-width per-field pack)
 // at 1M keys. The comparison runs after the google-benchmark suite, writes
@@ -116,7 +116,7 @@ void BM_SolidHarmonics(benchmark::State& state) {
 BENCHMARK(BM_SolidHarmonics)->Arg(4)->Arg(10)->Arg(16);
 
 // ---------------------------------------------------------------------------
-// Store-backed permute+pack vs the pre-refactor payload-resort kernels.
+// Carried-column permute+pack vs the pre-refactor payload-resort kernels.
 //
 // Measured: the LOCAL kernel work of moving three Vec3 payload fields
 // (velocities, accelerations, one extra column) through one method-B resort
@@ -124,11 +124,12 @@ BENCHMARK(BM_SolidHarmonics)->Arg(4)->Arg(10)->Arg(16);
 // every step: ResortPlan::build sorts the (origin index, position) pairs
 // with std::sort to derive the receive placement, then every field pays a
 // pack gather (runtime-width per-row memcpy, the old ExchangePlan loop) plus
-// a placement scatter on receive. The store side is what the carried-column
-// path (src/store + src/sortlib) executes instead: the resort permute is
-// composed into the pack - ONE width-specialized gather per column - and on
-// receive the columns follow the solver's merge permutation (already known
-// from the item merge, so no plan build at all) via CarrySet::permute.
+// a placement scatter on receive. The carried side is what a solver that
+// carries the staged fields (src/sortlib) executes instead: the resort
+// permute is composed into the pack - ONE width-specialized gather per
+// column - and on receive the columns follow the solver's merge permutation
+// (already known from the item merge, so no plan build at all) via
+// CarrySet::permute.
 // Both sides exclude the solver's own key sort and the wire exchange: those
 // are identical in the two modes.
 
@@ -173,7 +174,7 @@ PermutePackInput make_permute_pack_input(std::size_t n) {
   }
   in.origin.resize(n);
   for (std::size_t k = 0; k < n; ++k) in.origin[k] = in.resort_idx[k];
-  // The merge permutation the store columns follow (in production it is a
+  // The merge permutation the carried columns follow (in production it is a
   // by-product of the item merge): the inverse of the resort permutation.
   in.placement.resize(n);
   for (std::size_t k = 0; k < n; ++k)
@@ -214,7 +215,7 @@ std::uint64_t legacy_permute_pack(const PermutePackInput& in,
   return placement[0] + static_cast<std::uint64_t>(out[8]);
 }
 
-// One store payload resort: the fused gather-permute pack (the resort order
+// One carried payload resort: the fused gather-permute pack (the resort order
 // composed into the pack, one width-specialized gather per column, see
 // parallel_sort_partition_carry) + CarrySet::permute along the solver's
 // merge order on receive. No plan build, no per-field passes.

@@ -5,7 +5,6 @@
 #include "redist/conserve.hpp"
 #include "redist/exchange_plan.hpp"
 #include "redist/resort.hpp"
-#include "store/particle_store.hpp"
 #include "task/task_graph.hpp"
 
 namespace fcs {
@@ -20,24 +19,27 @@ namespace {
 constexpr std::size_t kOverlapSlabs = 4;
 
 /// Conservation validation of a whole run (sim::EngineConfig::validate): the
-/// global particle count and an order-independent charge checksum must be
-/// the same before and after all redistribution. Charges are copied, never
-/// recomputed, so the comparison is exact down to the bit pattern.
+/// global particle count and an order-independent checksum of the charges
+/// and every staged field must be the same before and after all
+/// redistribution. Values are copied, never recomputed, so the comparison is
+/// exact down to the bit pattern. `sum_in` and `staged_sum_out` are
+/// wrap-sums of content_checksum, like the charges' part.
 void validate_run(const mpi::Comm& comm, std::size_t n_in,
-                  std::uint64_t charge_sum_in,
-                  const std::vector<double>& charges_out) {
+                  std::uint64_t sum_in, const std::vector<double>& charges_out,
+                  std::uint64_t staged_sum_out) {
   std::uint64_t local[4] = {
-      n_in, charges_out.size(), charge_sum_in,
+      n_in, charges_out.size(), sum_in,
       redist::content_checksum(charges_out.data(), charges_out.size(),
-                               sizeof(double))};
+                               sizeof(double)) +
+          staged_sum_out};
   std::uint64_t global[4];
   comm.allreduce(local, global, 4, mpi::OpSum{});
   FCS_CHECK(global[0] == global[1],
             "fcs.run conservation violated: " << global[0]
                 << " particles in, " << global[1] << " out");
   FCS_CHECK(global[2] == global[3],
-            "fcs.run conservation violated: charge checksum changed across "
-            "redistribution ("
+            "fcs.run conservation violated: checksum of the charges and "
+            "staged fields changed across redistribution ("
                 << global[0] << " particles)");
   obs::count(comm.ctx().obs(), "fcs.validate.checks", 1.0);
 }
@@ -74,16 +76,47 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
                    std::vector<double>& potentials,
                    std::vector<domain::Vec3>& field,
                    const RunOptions& options) {
+  // The run consumes the staged queue, whether it returns or throws.
+  std::vector<ResortBatch::Field> staged;
+  staged.swap(staged_fields_);
   FCS_CHECK(positions.size() == charges.size(),
             "positions/charges size mismatch");
+  const std::size_t n_original = positions.size();
+  // Staged fields must fit this run's particles before anything moves: a
+  // wrong length would misalign the rows, and a vector staged twice would
+  // become two carried columns over one buffer, permuted twice.
+  for (std::size_t k = 0; k < staged.size(); ++k) {
+    const ResortBatch::Field& f = staged[k];
+    const std::size_t size =
+        std::visit([](const auto* v) { return v->size(); }, f.vec);
+    FCS_CHECK(size == f.components * n_original,
+              "staged field " << k << " holds " << size << " values, expected "
+                  << f.components << " x " << n_original
+                  << " local particles");
+    for (std::size_t j = 0; j < k; ++j)
+      FCS_CHECK(staged[j].vec != f.vec, "staged field " << k
+                    << " is staged twice (same vector as field " << j << ")");
+  }
+  auto staged_sum = [&staged] {
+    std::uint64_t sum = 0;
+    for (const ResortBatch::Field& f : staged)
+      std::visit(
+          [&sum](const auto* v) {
+            sum += redist::content_checksum(v->data(), v->size(),
+                                            sizeof(v->front()));
+          },
+          f.vec);
+    return sum;
+  };
+
   sim::RankCtx& ctx = comm_.ctx();
   obs::Span run_span(ctx, "fcs.run");
   obs::count(ctx.obs(), "fcs.run.calls", 1.0);
-  const std::size_t n_original = positions.size();
   const bool validate = ctx.config().validate;
-  const std::uint64_t charge_sum_in =
+  const std::uint64_t sum_in =
       validate ? redist::content_checksum(charges.data(), charges.size(),
-                                          sizeof(double))
+                                          sizeof(double)) +
+                     staged_sum()
                : 0;
 
   // Adaptive planning (src/plan): an active planner overrides the per-run
@@ -123,14 +156,20 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
       balancer_ != nullptr && balancer_->active() ? balancer_.get() : nullptr;
   sopts.plan = planned ? &rplan : nullptr;
 
-  // Columnar store coupling (src/store): hand the store's payload columns to
-  // the solver, so a carrying solver path ships them inside its own
-  // redistribution exchange instead of a separate resort round.
-  if (staged_store_ != nullptr) {
-    FCS_CHECK(staged_store_->size() == n_original,
-              "stage_store: store holds " << staged_store_->size()
-                  << " rows for " << n_original << " local particles");
-    if (want_resort) sopts.carry = &staged_store_->exchange_columns();
+  // A phased method-B run hands the staged fields to the solver, so a
+  // carrying solver path ships them inside its own redistribution exchange
+  // instead of a separate resort round. An overlapped run keeps them out of
+  // the sort exchange: it sends them in slabs under the force computation.
+  sortlib::CarrySet carry;
+  if (want_resort && !options.overlap && !staged.empty()) {
+    carry.scratch = &carry_scratch_;
+    for (const ResortBatch::Field& f : staged)
+      std::visit(
+          [&](auto* v) {
+            carry.cols.push_back(sortlib::carry_column(*v, f.components));
+          },
+          f.vec);
+    sopts.carry = &carry;
   }
 
   // --- Solve: phased, or overlapped through the task graph ------------------
@@ -163,7 +202,7 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
                          /*add_to_total=*/true);
         build_resort_plan(stage->partial.origin, n_original,
                           stage->partial.resort_kind);
-        batch = run_batch(stage->partial.fields_carried);
+        batch = run_batch(staged, /*carried=*/false);
         if (batch) nslabs = batch->async_begin(kOverlapSlabs);
       }
       // The overlapped graph: per-slab pack -> async exchange, the force
@@ -253,7 +292,7 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
         build_resort_plan(solved.origin, n_original, solved.resort_kind);
       }
       if (std::optional<redist::FusedBatch> batch =
-              run_batch(solved.fields_carried)) {
+              run_batch(staged, solved.fields_carried)) {
         PhaseScope phase(ctx, result.times, &PhaseTimes::resort, "fcs.resort",
                          /*add_to_total=*/true);
         batch->execute();
@@ -264,24 +303,13 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
     potentials = std::move(solved.potentials);
     field = std::move(solved.field);
     last_resorted_ = true;
-    staged_fields_.clear();
-    if (staged_store_ != nullptr) {
-      // Sync the row count (and the non-travelling position/key columns) to
-      // the changed distribution; the payload column buffers already hold
-      // exactly resort_n_changed_ rows.
-      staged_store_->resize(resort_n_changed_);
-      staged_store_ = nullptr;
-    }
-    if (validate) validate_run(comm_, n_original, charge_sum_in, charges);
+    if (validate)
+      validate_run(comm_, n_original, sum_in, charges, staged_sum());
     feed_planner(/*resorted=*/true);
     result.resorted = true;
     result.n_local = positions.size();
     return result;
   }
-  // A run that restores leaves staged fields untouched (the caller checks
-  // last_run_resorted(), exactly as with resort_*); the queue still clears.
-  staged_fields_.clear();
-
   // --- Method A (or capacity fallback): restore original order/distribution
   {
     PhaseScope phase(ctx, result.times, &PhaseTimes::restore, "fcs.restore",
@@ -308,23 +336,25 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
     resort_plan_.reset();
     resort_n_changed_ = n_original;
   }
-  // A restoring run normally leaves a staged store untouched, like the
-  // staged fields. The one exception is a capacity fallback AFTER the solver
-  // already carried the columns into its order: ship every row home again so
-  // the store matches the (restored) caller arrays.
-  if (staged_store_ != nullptr) {
-    if (solved.fields_carried) {
-      PhaseScope phase(ctx, result.times, &PhaseTimes::restore, "fcs.restore",
-                       /*add_to_total=*/true);
-      staged_store_->restore_payload(comm_, solved.origin, n_original,
-                                     redist::ExchangeKind::kDense);
-      staged_store_->resize(n_original);
-    }
-    staged_store_ = nullptr;
+  // A restoring run leaves staged fields untouched (the caller checks
+  // last_run_resorted(), exactly as with resort_*). The one exception is a
+  // capacity fallback AFTER the solver already carried them into its order:
+  // ship every row home again so they match the (restored) caller arrays.
+  if (solved.fields_carried) {
+    PhaseScope phase(ctx, result.times, &PhaseTimes::restore, "fcs.restore",
+                     /*add_to_total=*/true);
+    for (const ResortBatch::Field& f : staged)
+      std::visit(
+          [&](auto* v) {
+            *v = redist::resort_values(comm_, solved.origin, *v, f.components,
+                                       n_original,
+                                       redist::ExchangeKind::kDense);
+          },
+          f.vec);
   }
   // Method A leaves positions/charges untouched, so count conservation is
   // trivial - but the checksum still guards against buffer corruption.
-  if (validate) validate_run(comm_, n_original, charge_sum_in, charges);
+  if (validate) validate_run(comm_, n_original, sum_in, charges, staged_sum());
   feed_planner(/*resorted=*/false);
   result.resorted = false;
   result.n_local = n_original;
@@ -342,17 +372,13 @@ void Fcs::build_resort_plan(const std::vector<std::uint64_t>& origin,
   resort_n_changed_ = origin.size();
 }
 
-std::optional<redist::FusedBatch> Fcs::run_batch(bool store_carried) {
-  const bool store_pending = staged_store_ != nullptr && !store_carried;
-  if (staged_fields_.empty() && !store_pending) return std::nullopt;
+std::optional<redist::FusedBatch> Fcs::run_batch(
+    const std::vector<ResortBatch::Field>& staged, bool carried) {
+  if (staged.empty() || carried) return std::nullopt;
   std::optional<redist::FusedBatch> batch(
       std::in_place, comm_, resort_plan_.plan(), resort_plan_.placement());
-  ResortBatch::queue(*batch, staged_fields_);
-  resort_field_count_ += staged_fields_.size();
-  if (store_pending) {
-    staged_store_->stage_into(*batch);
-    resort_field_count_ += staged_store_->payload_fields();
-  }
+  ResortBatch::queue(*batch, staged);
+  resort_field_count_ += staged.size();
   return batch;
 }
 
@@ -380,26 +406,18 @@ void Fcs::resort_vec3(std::vector<domain::Vec3>& values) const {
 }
 
 Fcs& Fcs::stage_floats(std::vector<double>& values, std::size_t components) {
-  staged_fields_.push_back(
-      ResortBatch::Field{ResortBatch::Kind::kFloats, &values, components});
+  staged_fields_.push_back(ResortBatch::Field{&values, components});
   return *this;
 }
 
 Fcs& Fcs::stage_ints(std::vector<std::int64_t>& values,
                      std::size_t components) {
-  staged_fields_.push_back(
-      ResortBatch::Field{ResortBatch::Kind::kInts, &values, components});
+  staged_fields_.push_back(ResortBatch::Field{&values, components});
   return *this;
 }
 
 Fcs& Fcs::stage_vec3(std::vector<domain::Vec3>& values) {
-  staged_fields_.push_back(
-      ResortBatch::Field{ResortBatch::Kind::kVec3, &values, 1});
-  return *this;
-}
-
-Fcs& Fcs::stage_store(store::ParticleStore& s) {
-  staged_store_ = &s;
+  staged_fields_.push_back(ResortBatch::Field{&values, 1});
   return *this;
 }
 
@@ -411,42 +429,25 @@ ResortBatch Fcs::resort_batch() {
 
 ResortBatch& ResortBatch::add_floats(std::vector<double>& values,
                                      std::size_t components) {
-  fields_.push_back(Field{Kind::kFloats, &values, components});
+  fields_.push_back(Field{&values, components});
   return *this;
 }
 
 ResortBatch& ResortBatch::add_ints(std::vector<std::int64_t>& values,
                                    std::size_t components) {
-  fields_.push_back(Field{Kind::kInts, &values, components});
+  fields_.push_back(Field{&values, components});
   return *this;
 }
 
 ResortBatch& ResortBatch::add_vec3(std::vector<domain::Vec3>& values) {
-  fields_.push_back(Field{Kind::kVec3, &values, 1});
+  fields_.push_back(Field{&values, 1});
   return *this;
 }
 
 void ResortBatch::queue(redist::FusedBatch& batch,
                         const std::vector<Field>& fields) {
-  for (const Field& f : fields) {
-    switch (f.kind) {
-      case Kind::kFloats: {
-        auto* v = static_cast<std::vector<double>*>(f.vec);
-        batch.add(*v, f.components, *v);
-        break;
-      }
-      case Kind::kInts: {
-        auto* v = static_cast<std::vector<std::int64_t>*>(f.vec);
-        batch.add(*v, f.components, *v);
-        break;
-      }
-      case Kind::kVec3: {
-        auto* v = static_cast<std::vector<domain::Vec3>*>(f.vec);
-        batch.add(*v, f.components, *v);
-        break;
-      }
-    }
-  }
+  for (const Field& f : fields)
+    std::visit([&](auto* v) { batch.add(*v, f.components, *v); }, f.vec);
 }
 
 void ResortBatch::run() {

@@ -15,9 +15,10 @@
 //  * method B (opts.resort = true): the solver-specific order and
 //    distribution is returned (positions/charges arrays are REPLACED), and
 //    the run builds a resort plan from its resort indices, so additional
-//    per-particle data can follow via resort_floats/resort_ints/resort_vec3,
-//    a ResortBatch, or fields staged into the run - every one of them a plan
-//    apply. If any rank's changed particle count exceeds opts.max_local, the
+//    per-particle data can follow via resort_floats/resort_ints/resort_vec3
+//    or a ResortBatch - each a plan apply - or be staged into the run, where
+//    it rides the solver's own exchange when the active path can carry it.
+//    If any rank's changed particle count exceeds opts.max_local, the
 //    library falls back to restoring (query with last_run_resorted(), paper
 //    Sect. III-B).
 #pragma once
@@ -25,15 +26,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 
 #include "fcs/solver.hpp"
 #include "lb/lb.hpp"
 #include "plan/planner.hpp"
 #include "redist/resort.hpp"
-
-namespace store {
-class ParticleStore;
-}
 
 namespace fcs {
 
@@ -61,10 +59,12 @@ class ResortBatch {
  private:
   friend class Fcs;
   explicit ResortBatch(Fcs& fcs) : fcs_(&fcs) {}
-  enum class Kind { kFloats, kInts, kVec3 };
+  /// One caller vector holding `components` values per particle; every use
+  /// (batch segment, carried column, checksum) is a std::visit over `vec`.
   struct Field {
-    Kind kind;
-    void* vec;
+    std::variant<std::vector<double>*, std::vector<std::int64_t>*,
+                 std::vector<domain::Vec3>*>
+        vec;
     std::size_t components;
   };
   /// Add every field as one segment of `batch` (shared with the fields
@@ -162,37 +162,27 @@ class Fcs {
   ResortBatch resort_batch();
 
   /// Queue per-particle data to travel WITH the next run instead of a
-  /// separate resort_* call afterwards: if that run resorts (method B), the
-  /// staged fields are exchanged through the run's own resort machinery -
-  /// overlapped with the force computation under RunOptions::overlap - and
-  /// `values` is replaced (resized to the changed count). If the
-  /// run restores instead, the staged fields are left untouched. The queue
-  /// is cleared by the run either way. All ranks must stage the same
-  /// sequence of fields (collective symmetry), and the referenced vectors
-  /// must stay alive until run() returns.
+  /// separate resort_* call afterwards. If that run resorts (method B),
+  /// `values` is replaced (resized to the changed count):
+  ///  * phased: the solver ships the staged fields inside its own
+  ///    redistribution exchange when its active path can carry them
+  ///    (SolveResult::fields_carried), otherwise they follow in the run's
+  ///    one fused batch over the resort plan;
+  ///  * overlapped (RunOptions::overlap): they stay out of the sort exchange
+  ///    and travel in slabs while the forces compute.
+  /// If the run restores instead, the staged fields are left untouched; a
+  /// capacity fallback after the solver carried them sends every row home
+  /// again. `values` must hold exactly `components` values per local
+  /// particle, and a vector may be staged once per run - the run rejects
+  /// anything else before the solve. The queue is cleared by the run
+  /// either way. All ranks must stage the same sequence of fields
+  /// (collective symmetry), and the referenced vectors must stay alive
+  /// until run() returns.
   Fcs& stage_floats(std::vector<double>& values, std::size_t components);
   Fcs& stage_ints(std::vector<std::int64_t>& values, std::size_t components);
   Fcs& stage_vec3(std::vector<domain::Vec3>& values);
   /// Fields currently queued for the next run.
   std::size_t staged_field_count() const { return staged_fields_.size(); }
-
-  /// Queue a columnar particle store for the next run: the store's payload
-  /// columns (everything except the built-in position and Morton-key
-  /// columns) travel WITH the run. When the solver's active path supports it
-  /// the columns ride inside the solver's own redistribution alltoallv
-  /// (SolveResult::fields_carried - no separate resort round at all);
-  /// otherwise they join the stage_* fields in the run's one fused batch
-  /// over the resort plan. If the run restores after the solver carried the
-  /// columns (capacity fallback), every row is sent home again. The store
-  /// must hold exactly one row per local particle; after a resorted run it
-  /// holds the changed distribution's rows (the position and key columns
-  /// are NOT updated - refresh them from the returned positions if needed).
-  /// Staging is cleared by the run either way; the store must stay alive
-  /// until run() returns. Collective symmetry: every rank stages a store
-  /// with the same field layout.
-  Fcs& stage_store(store::ParticleStore& s);
-  /// The store queued for the next run (null when none).
-  store::ParticleStore* staged_store() const { return staged_store_; }
 
   /// The reusable exchange schedule of the last method-B run (invalid when
   /// the last run restored). Exposed for tests and benchmarks.
@@ -205,10 +195,10 @@ class Fcs {
   /// run's resort plan from them. Collective.
   void build_resort_plan(const std::vector<std::uint64_t>& origin,
                          std::size_t n_original, redist::ExchangeKind kind);
-  /// Everything that travels with the run, queued into one fused batch on
-  /// the resort plan: the staged fields, and the staged store's columns
+  /// The staged fields queued into one fused batch on the resort plan,
   /// unless the solver already carried them. Empty when nothing travels.
-  std::optional<redist::FusedBatch> run_batch(bool store_carried);
+  std::optional<redist::FusedBatch> run_batch(
+      const std::vector<ResortBatch::Field>& staged, bool carried);
 
   mpi::Comm comm_;
   std::unique_ptr<Solver> solver_;
@@ -224,8 +214,8 @@ class Fcs {
   mutable std::size_t resort_field_count_ = 0;
   // Fields queued by stage_* for the next run (see stage_floats).
   std::vector<ResortBatch::Field> staged_fields_;
-  // Store queued by stage_store for the next run (not owned).
-  store::ParticleStore* staged_store_ = nullptr;
+  // Grow-only scratch of the carried columns' permutations.
+  std::vector<std::byte> carry_scratch_;
 };
 
 }  // namespace fcs

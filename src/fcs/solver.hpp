@@ -156,13 +156,14 @@ struct SolveOptions {
   /// keeps them). The method field is consumed by the fcs layer, not here.
   /// Owned by the caller (fcs::Fcs::run stack frame).
   const plan::RedistPlan* plan = nullptr;
-  /// Columnar particle store payload (src/store): when non-null, the carry
-  /// set's rows are aligned with the input particles and the solver SHOULD
-  /// ship them inside its own redistribution exchange (setting
+  /// The fields staged into a phased method-B run (fcs::Fcs::stage_*), as
+  /// column views of the caller's vectors: when non-null, the carry set's
+  /// rows are aligned with the input particles and the solver SHOULD ship
+  /// them inside its own redistribution exchange (setting
   /// SolveResult::fields_carried). Solvers whose active path cannot carry
   /// (merge-based sort, neighborhood exchange, balancer migration) leave the
   /// columns untouched and return fields_carried = false; the fcs layer then
-  /// falls back to the plan-based column exchange. Whether a path can carry
+  /// falls back to the plan-based fused exchange. Whether a path can carry
   /// is derived from rank-consistent inputs, so fields_carried agrees on
   /// every rank.
   sortlib::CarrySet* carry = nullptr;

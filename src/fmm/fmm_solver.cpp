@@ -177,9 +177,9 @@ fcs::SolveStage FmmSolver::begin_solve(const mpi::Comm& comm,
   } else if (use_merge) {
     sortlib::parallel_sort_merge(comm, items, key_fn);
   } else if (options.carry != nullptr && !options.carry->empty()) {
-    // Columnar store payload: ship the columns inside the partition sort's
-    // own alltoallv (one exchange) instead of a separate resort round. The
-    // item result is bit-identical to the plain partition sort.
+    // Staged fields: ship their columns inside the partition sort's own
+    // alltoallv (one exchange) instead of a separate resort round. The item
+    // result is bit-identical to the plain partition sort.
     sortlib::parallel_sort_partition_carry(comm, items, key_fn,
                                            *options.carry);
     result.fields_carried = true;

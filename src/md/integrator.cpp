@@ -13,17 +13,12 @@ double advance_positions(LocalParticles& particles, const domain::Box& box,
   FCS_CHECK(particles.vel.size() == particles.size() &&
                 particles.acc.size() == particles.size(),
             "inconsistent particle arrays");
-  return advance_positions(particles.pos.data(), particles.vel.data(),
-                           particles.acc.data(), particles.size(), box, dt);
-}
-
-double advance_positions(Vec3* pos, const Vec3* vel, const Vec3* acc,
-                         std::size_t n, const domain::Box& box, double dt) {
   double max_move2 = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec3 step = vel[i] * dt + acc[i] * (0.5 * dt * dt);
+  for (std::size_t i = 0; i < particles.size(); ++i) {
+    const Vec3 step =
+        particles.vel[i] * dt + particles.acc[i] * (0.5 * dt * dt);
     max_move2 = std::max(max_move2, step.norm2());
-    pos[i] = box.wrap(pos[i] + step);
+    particles.pos[i] = box.wrap(particles.pos[i] + step);
   }
   return std::sqrt(max_move2);
 }
@@ -32,14 +27,9 @@ void advance_velocities(LocalParticles& particles,
                         const std::vector<Vec3>& new_acc, double dt) {
   FCS_CHECK(new_acc.size() == particles.size(),
             "acceleration array size mismatch");
-  advance_velocities(particles.vel.data(), particles.acc.data(), new_acc, dt);
-}
-
-void advance_velocities(Vec3* vel, Vec3* acc, const std::vector<Vec3>& new_acc,
-                        double dt) {
   for (std::size_t i = 0; i < new_acc.size(); ++i) {
-    vel[i] += (acc[i] + new_acc[i]) * (0.5 * dt);
-    acc[i] = new_acc[i];
+    particles.vel[i] += (particles.acc[i] + new_acc[i]) * (0.5 * dt);
+    particles.acc[i] = new_acc[i];
   }
 }
 

@@ -14,18 +14,8 @@ namespace md {
 double advance_positions(LocalParticles& particles, const domain::Box& box,
                          double dt);
 
-/// Pointer form of the same update for columnar storage (src/store): the
-/// arithmetic is identical, so results are bit-identical to the vector form.
-double advance_positions(domain::Vec3* pos, const domain::Vec3* vel,
-                         const domain::Vec3* acc, std::size_t n,
-                         const domain::Box& box, double dt);
-
 /// Finish the step (Eq. 2) once the new accelerations are known.
 void advance_velocities(LocalParticles& particles,
-                        const std::vector<domain::Vec3>& new_acc, double dt);
-
-/// Pointer form for columnar storage; bit-identical to the vector form.
-void advance_velocities(domain::Vec3* vel, domain::Vec3* acc,
                         const std::vector<domain::Vec3>& new_acc, double dt);
 
 /// Accelerations from solver fields: a_i = q_i * E_i (unit mass).

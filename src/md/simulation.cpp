@@ -6,7 +6,6 @@
 #include "fcs/checkpoint.hpp"
 #include "obs/obs.hpp"
 #include "redist/conserve.hpp"
-#include "store/particle_store.hpp"
 #include "support/rng.hpp"
 #include "support/serialize.hpp"
 
@@ -189,32 +188,13 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
   std::vector<Vec3> field;
   fcs::RunResult rr;
 
-  // Columnar store coupling (src/store): velocities, accelerations and the
-  // extra payload live as store columns staged into every run; the legacy
-  // vectors hold them otherwise. Initial values are identical either way.
-  const bool use_store = cfg.use_store;
-  store::ParticleStore pstore;
-
   // Extra per-particle payload (see SimulationConfig::extra_vec3_fields):
   // deterministic particle-bound values that ride every method-B resort.
-  std::vector<std::vector<Vec3>> extras(use_store ? 0 : cfg.extra_vec3_fields);
+  std::vector<std::vector<Vec3>> extras(cfg.extra_vec3_fields);
   for (std::size_t f = 0; f < extras.size(); ++f) {
     extras[f].resize(particles.size());
     for (std::size_t i = 0; i < extras[f].size(); ++i)
       extras[f][i] = particles.pos[i] * (1.0 + static_cast<double>(f));
-  }
-  if (use_store) {
-    for (std::size_t f = 0; f < cfg.extra_vec3_fields; ++f)
-      pstore.register_field("extra" + std::to_string(f),
-                            store::FieldType::kVec3);
-    pstore.resize(particles.size());
-    std::copy(particles.vel.begin(), particles.vel.end(), pstore.vel());
-    std::copy(particles.acc.begin(), particles.acc.end(), pstore.acc());
-    for (std::size_t f = 0; f < cfg.extra_vec3_fields; ++f) {
-      Vec3* const e = pstore.view<Vec3>(store::ParticleStore::kKey + 1 + f);
-      for (std::size_t i = 0; i < particles.size(); ++i)
-        e[i] = particles.pos[i] * (1.0 + static_cast<double>(f));
-    }
   }
 
   fcs::Rng rng = fcs::Rng(cfg.surrogate_seed).stream(
@@ -225,9 +205,6 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
   // Buddy checkpointing (DESIGN.md §13). The scratch blob and the ring map
   // are retained across checkpoints so the steady state allocates nothing.
   fcs::CheckpointStore store(cfg.checkpoint_interval);
-  FCS_CHECK(!(use_store && store.enabled()),
-            "the columnar store path is not covered by checkpointing (the "
-            "recovery blob holds the legacy integrator arrays only)");
   std::vector<std::byte> ckpt_scratch;
   std::vector<int> ckpt_ring;  // world ranks of the checkpoint communicator
   std::uint64_t recovery_generation = 0;
@@ -380,22 +357,22 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
   };
 
   // One fcs_run with every integrator field following the particles (Fig. 3
-  // lines 5 and 10-11). The store is staged into every run. Overlapped mode
-  // stages the vectors up front so the task-graph fcs_run exchanges them
-  // while the forces compute - whether the run resorts is the planner's or
-  // cfg.resort's call, so they are staged either way; otherwise they follow
-  // in one resort batch. A run that restores leaves them untouched. `handle`
-  // is read through the reference because recovery replaces it.
+  // lines 5 and 10-11). With stage_fields or overlap the fields are staged
+  // into the run: a phased run lets the solver carry them inside its own
+  // exchange, an overlapped one exchanges them while the forces compute.
+  // Whether the run resorts is the planner's or cfg.resort's call, so they
+  // are staged either way; otherwise they follow in one resort batch. A run
+  // that restores leaves them untouched. `handle` is read through the
+  // reference because recovery replaces it.
   auto run_and_resort = [&]() {
-    const bool staged = !use_store && cfg.overlap;
+    const bool staged = cfg.stage_fields || cfg.overlap;
     if (staged) {
       handle->stage_vec3(particles.vel).stage_vec3(particles.acc);
       for (auto& e : extras) handle->stage_vec3(e);
     }
-    if (use_store) handle->stage_store(pstore);
     fcs::RunResult run =
         handle->run(particles.pos, particles.q, phi, field, ropts);
-    if (run.resorted && !staged && !use_store) {
+    if (run.resorted && !staged) {
       const double rb0 = ctx.now();
       fcs::ResortBatch batch = handle->resort_batch();
       batch.add_vec3(particles.vel).add_vec3(particles.acc);
@@ -423,13 +400,7 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
         {
           obs::Span init_span(ctx, "md.init");
           rr = run_and_resort();
-          if (use_store) {
-            const std::vector<Vec3> new_acc =
-                accelerations_from_field(particles.q, field);
-            std::copy(new_acc.begin(), new_acc.end(), pstore.acc());
-          } else {
-            particles.acc = accelerations_from_field(particles.q, field);
-          }
+          particles.acc = accelerations_from_field(particles.q, field);
         }
         result.step_times.push_back(reduce_phase_max(comm, rr.times));
         result.resorted.push_back(rr.resorted);
@@ -451,11 +422,7 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
                              cfg.surrogate_drift, rng);
           max_move_local = cfg.surrogate_step + cfg.surrogate_drift.norm();
         } else {
-          max_move_local =
-              use_store ? advance_positions(particles.pos.data(),
-                                            pstore.vel(), pstore.acc(),
-                                            particles.size(), cfg.box, cfg.dt)
-                        : advance_positions(particles, cfg.box, cfg.dt);
+          max_move_local = advance_positions(particles, cfg.box, cfg.dt);
         }
         if (cfg.rogue_rate > 0.0 && particles.size() > 0 &&
             rogue_rng.uniform(0.0, 1.0) < cfg.rogue_rate) {
@@ -484,13 +451,7 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
         const std::vector<Vec3> new_acc =
             accelerations_from_field(particles.q, field);
         if (cfg.surrogate_motion) {
-          if (use_store) {
-            std::copy(new_acc.begin(), new_acc.end(), pstore.acc());
-          } else {
-            particles.acc = new_acc;
-          }
-        } else if (use_store) {
-          advance_velocities(pstore.vel(), pstore.acc(), new_acc, cfg.dt);
+          particles.acc = new_acc;
         } else {
           advance_velocities(particles, new_acc, cfg.dt);
         }
@@ -520,29 +481,20 @@ SimulationResult run_simulation(const mpi::Comm& app_comm, fcs::Fcs& app_handle,
   }
 
   // Rank-local final-state checksum: computed with NO communication (a
-  // collective here would perturb every virtual-time makespan). Legacy and
-  // store mode hash the same logical fields in the same order, so for the
-  // same inputs the two paths must agree bit for bit.
+  // collective here would perturb every virtual-time makespan). Every route
+  // the fields can take moves the same values, so for the same inputs the
+  // staged and the ResortBatch path agree bit for bit.
   std::uint64_t csum =
       redist::content_checksum(particles.pos.data(), particles.pos.size(),
                                sizeof(Vec3)) +
       redist::content_checksum(particles.q.data(), particles.q.size(),
-                               sizeof(double));
-  if (use_store) {
-    csum += redist::content_checksum(pstore.vel(), pstore.size(), sizeof(Vec3));
-    csum += redist::content_checksum(pstore.acc(), pstore.size(), sizeof(Vec3));
-    for (std::size_t f = 0; f < cfg.extra_vec3_fields; ++f)
-      csum += redist::content_checksum(
-          pstore.raw(store::ParticleStore::kKey + 1 + f), pstore.size(),
-          sizeof(Vec3));
-  } else {
-    csum += redist::content_checksum(particles.vel.data(),
-                                     particles.vel.size(), sizeof(Vec3));
-    csum += redist::content_checksum(particles.acc.data(),
-                                     particles.acc.size(), sizeof(Vec3));
-    for (const auto& e : extras)
-      csum += redist::content_checksum(e.data(), e.size(), sizeof(Vec3));
-  }
+                               sizeof(double)) +
+      redist::content_checksum(particles.vel.data(), particles.vel.size(),
+                               sizeof(Vec3)) +
+      redist::content_checksum(particles.acc.data(), particles.acc.size(),
+                               sizeof(Vec3));
+  for (const auto& e : extras)
+    csum += redist::content_checksum(e.data(), e.size(), sizeof(Vec3));
   result.state_checksum = csum;
 
   if (const plan::Planner* p = handle->planner(); p != nullptr)

@@ -78,14 +78,13 @@ struct SimulationConfig {
   /// forces, virials, per-particle history); bench_overlap uses it to set
   /// the redistribution share of a step.
   std::size_t extra_vec3_fields = 0;
-  /// Columnar store coupling (src/store): keep the integrator fields
-  /// (velocities, accelerations, extra payload) in a store::ParticleStore
-  /// staged into every run, so they travel inside the solver's own
-  /// redistribution exchange when the active path can carry them - instead
-  /// of the separate staged-field resort round. Physics results and the
-  /// final state checksum are bit-identical to the vector path. Not
-  /// compatible with checkpointing (the blob covers the vector arrays only).
-  bool use_store = false;
+  /// Stage the integrator fields (velocities, accelerations, extra payload)
+  /// into every run (fcs::Fcs::stage_vec3), so a phased method-B run ships
+  /// them inside the solver's own redistribution exchange when the active
+  /// path can carry them - instead of a ResortBatch round after the run.
+  /// Overlapped runs (overlap) always stage them. Physics results and the
+  /// final state checksum are bit-identical to the ResortBatch path.
+  bool stage_fields = false;
 };
 
 /// Phase times of one fcs_run, reduced with max over ranks.
@@ -115,8 +114,8 @@ struct SimulationResult {
   /// Rank-LOCAL checksum of the final per-particle state (positions,
   /// charges, velocities, accelerations, extra payload) - computed with no
   /// communication, so it never perturbs the virtual-time makespans. For
-  /// the same inputs the legacy and the store path (use_store) produce the
-  /// same value on every rank; the fig7 store bit-identity leg compares it.
+  /// the same inputs the ResortBatch and the staged path (stage_fields)
+  /// produce the same value on every rank; the fig7 Bs leg compares it.
   std::uint64_t state_checksum = 0;
 };
 

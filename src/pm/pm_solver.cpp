@@ -181,10 +181,10 @@ fcs::SolveStage PmSolver::begin_solve(const mpi::Comm& comm,
       comm.allreduce(targets_ok ? 1 : 0, mpi::OpMin{}) == 1;
   last_used_neighborhood_ = neighborhood_ok;
 
-  // Carried column exchange (src/store) is only possible on the collective
-  // branch: the neighborhood path would need per-edge column packets. The
-  // gate is rank-consistent because neighborhood_ok is allreduced and the
-  // carry set's shape is symmetric across ranks.
+  // Carrying the staged fields is only possible on the collective branch:
+  // the neighborhood path would need per-edge column packets. The gate is
+  // rank-consistent because neighborhood_ok is allreduced and every rank
+  // stages the same sequence of fields.
   const bool carrying = !neighborhood_ok && options.carry != nullptr &&
                         !options.carry->empty();
   std::vector<PmParticle> received;
@@ -207,7 +207,7 @@ fcs::SolveStage PmSolver::begin_solve(const mpi::Comm& comm,
     received = redist::neighborhood_alltoallv(comm, neighbors, pk,
                                               send_counts, recv_counts);
   } else if (carrying) {
-    // Ship the store's payload columns inside the same alltoallv as the
+    // Ship the staged fields' columns inside the same alltoallv as the
     // particle records. Each copy (owner or ghost) carries the column row of
     // its source particle (col_src); the owned-first truncation below drops
     // the ghost duplicates again. The stable destination-major slot order

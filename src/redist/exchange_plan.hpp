@@ -275,22 +275,6 @@ class FusedBatch {
     segments_.push_back(seg);
   }
 
-  /// Untyped variant for columnar payloads (the particle store's byte
-  /// columns): `src` holds one item_bytes row per plan input item;
-  /// `resize_out(ctx, n_bytes)` must resize the output storage and return
-  /// its base pointer. Same aliasing guarantee as add(): outputs are
-  /// resized/written only after every segment is packed.
-  void add_raw(const std::byte* src, std::size_t item_bytes, void* out_ctx,
-               std::byte* (*resize_out)(void* ctx, std::size_t n_bytes)) {
-    FCS_CHECK(item_bytes > 0, "FusedBatch: zero-width raw segment");
-    Segment seg;
-    seg.src = src;
-    seg.item_bytes = item_bytes;
-    seg.out_vec = out_ctx;
-    seg.resize_out = resize_out;
-    segments_.push_back(seg);
-  }
-
   std::size_t segment_count() const { return segments_.size(); }
 
   /// Run the fused exchange. Collective; a no-op when no segments were

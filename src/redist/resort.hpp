@@ -10,7 +10,7 @@
 // per-particle data (velocities, accelerations) can follow the particles:
 // the paper's fcs_resort_floats/ints is a plan apply (fcs::Fcs). The
 // index-addressed row exchange (resort_rows / resort_values) serves one-off
-// moves without a plan, e.g. sending carried store columns home.
+// moves without a plan, e.g. sending carried staged fields home.
 #pragma once
 
 #include <cstddef>

@@ -73,7 +73,7 @@ void CarrySet::permute(const std::uint32_t* order, std::size_t n) {
 }
 
 void CarrySet::resize_rows(std::size_t n_rows) {
-  for (CarryColumn& c : cols) c.data = c.resize(c.ctx, n_rows);
+  for (CarryColumn& c : cols) c.data = c.resize(c.ctx, n_rows * c.item_bytes);
 }
 
 void carry_exchange(const mpi::Comm& comm, bool sparse,

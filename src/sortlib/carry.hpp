@@ -1,18 +1,19 @@
 // Carried-column exchanges: move per-particle payload columns WITH the
 // particle records in one collective instead of a separate resort round.
 //
-// The columnar particle store (src/store) registers velocities,
-// accelerations and extra fields as contiguous byte columns. When the
-// solver redistributes its particle records it can attach those columns as
-// a CarrySet: every outgoing row block then ships [items][col0][col1]...
-// per destination in ONE alltoallv, and the separate method-B resort
-// exchange disappears. The kernels here (gather_rows / scatter_rows /
-// permute) are the width-specialized contiguous loops the rest of the
-// redistribution stack reuses for packing and placement.
+// The fcs layer hands the fields an application staged into a method-B run
+// (velocities, accelerations, extra payload - the caller's own vectors) to
+// the solver as a CarrySet of byte-column views. When the solver
+// redistributes its particle records it ships [items][col0][col1]... per
+// destination in ONE alltoallv, and the separate method-B resort exchange
+// disappears. The kernels here (gather_rows / scatter_rows / permute) are
+// the width-specialized contiguous loops the rest of the redistribution
+// stack reuses for packing and placement.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "minimpi/comm.hpp"
@@ -34,18 +35,33 @@ void scatter_rows(const std::byte* src, std::byte* dst,
                   std::size_t item_bytes);
 
 /// A non-owning view of one payload column travelling with the particles.
-/// `resize` must grow/shrink the underlying storage to n_rows rows and
+/// `resize` must grow/shrink the underlying storage to n_bytes bytes and
 /// return the (possibly moved) base pointer; `data` is refreshed from it.
 struct CarryColumn {
   std::byte* data = nullptr;
   std::size_t item_bytes = 0;
   void* ctx = nullptr;
-  std::byte* (*resize)(void* ctx, std::size_t n_rows) = nullptr;
+  std::byte* (*resize)(void* ctx, std::size_t n_bytes) = nullptr;
 };
 
+/// Column view of a caller's vector holding `components` values of T per
+/// row; resizing the column resizes the vector.
+template <class T>
+CarryColumn carry_column(std::vector<T>& values, std::size_t components) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return CarryColumn{reinterpret_cast<std::byte*>(values.data()),
+                     components * sizeof(T), &values,
+                     [](void* ctx, std::size_t n_bytes) {
+                       auto* v = static_cast<std::vector<T>*>(ctx);
+                       v->resize(n_bytes / sizeof(T));
+                       return reinterpret_cast<std::byte*>(v->data());
+                     }};
+}
+
 /// The set of columns attached to one redistribution. A plain view struct:
-/// the column storage (and the optional permute scratch) stays owned by the
-/// particle store.
+/// the column storage and the optional permute scratch stay owned by the
+/// caller. Columns must not alias: permute() would reorder a shared buffer
+/// once per view.
 struct CarrySet {
   std::vector<CarryColumn> cols;
   /// Grow-only scratch for permute(); optional (a local buffer is used when

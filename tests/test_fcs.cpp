@@ -11,7 +11,6 @@
 #include "sim/network.hpp"
 #include "pm/ewald.hpp"
 #include "spmd_test_util.hpp"
-#include "store/particle_store.hpp"
 #include "support/rng.hpp"
 
 using domain::Box;
@@ -203,11 +202,10 @@ TEST(FcsMethods, CapacityFallbackRestores) {
   });
 }
 
-// Capacity fallback after the solver already carried a staged store's
-// columns into its order: the run restores, so every store row must come
-// home again (ParticleStore::restore_payload through fcs_run), while a staged
-// vector stays untouched and the resort machinery refuses.
-TEST(FcsMethods, CapacityFallbackSendsCarriedStoreHome) {
+// Capacity fallback after the solver already carried the staged fields into
+// its order: the run restores, so every row must come home again
+// (resort_values through fcs_run), and the resort machinery refuses.
+TEST(FcsMethods, CapacityFallbackSendsCarriedFieldsHome) {
   const TestSystem sys = make_system(5);
   auto rec = std::make_shared<obs::Recorder>();
   sim::EngineConfig cfg = fcs_test::engine_config(4);
@@ -219,28 +217,27 @@ TEST(FcsMethods, CapacityFallbackSendsCarriedStoreHome) {
     deal(sys, c, pos, q);
     const std::size_t n = pos.size();
 
-    store::ParticleStore st;
-    const std::size_t tag_id =
-        st.register_field("tag", store::FieldType::kI64, 2);
-    st.resize(n);
+    std::vector<double> sf(n);
+    std::vector<std::int64_t> si(2 * n);
+    std::vector<Vec3> vel(n), acc(n);
     for (std::size_t i = 0; i < n; ++i) {
-      st.vel()[i] = Vec3{pos[i].y, pos[i].z, pos[i].x};
-      st.acc()[i] = pos[i] * 2.0;
-      st.view<std::int64_t>(tag_id)[2 * i] = c.rank();
-      st.view<std::int64_t>(tag_id)[2 * i + 1] = static_cast<std::int64_t>(i);
+      sf[i] = pos[i].x + 1e-3 * i;
+      si[2 * i] = c.rank();
+      si[2 * i + 1] = static_cast<std::int64_t>(i);
+      vel[i] = Vec3{pos[i].y, pos[i].z, pos[i].x};
+      acc[i] = pos[i] * 2.0;
     }
-    std::vector<std::vector<std::byte>> before;
-    for (std::size_t id = 0; id < st.field_count(); ++id)
-      before.emplace_back(st.raw(id), st.raw(id) + n * st.item_bytes(id));
-    std::vector<double> staged(n);
-    for (std::size_t i = 0; i < n; ++i) staged[i] = pos[i].x + 1e-3 * i;
-    const std::vector<double> staged_before = staged;
+    const std::vector<double> sf_before = sf;
+    const std::vector<std::int64_t> si_before = si;
+    const std::vector<Vec3> vel_before = vel;
+    const std::vector<Vec3> acc_before = acc;
 
     fcs::Fcs handle(c, "pm");
     handle.set_common(sys.box);
     handle.set_accuracy(1e-2);
     handle.tune(pos, q);
-    handle.stage_floats(staged, 1).stage_store(st);
+    handle.stage_floats(sf, 1).stage_ints(si, 2).stage_vec3(vel).stage_vec3(
+        acc);
     std::vector<double> phi;
     std::vector<Vec3> field;
     fcs::RunOptions opts;
@@ -252,23 +249,67 @@ TEST(FcsMethods, CapacityFallbackSendsCarriedStoreHome) {
     EXPECT_FALSE(handle.last_run_resorted());
     EXPECT_FALSE(handle.resort_plan().valid());
     EXPECT_THROW(handle.resort_batch(), fcs::Error);
-    EXPECT_EQ(handle.staged_store(), nullptr);
     EXPECT_EQ(handle.staged_field_count(), 0u);
-    expect_bits_equal(staged, staged_before, "staged vector");
-    ASSERT_EQ(st.size(), n);
-    for (std::size_t id = 0; id < st.field_count(); ++id) {
-      if (id == store::ParticleStore::kPos || id == store::ParticleStore::kKey)
-        continue;  // not payload: never travels
-      EXPECT_EQ(std::memcmp(st.raw(id), before[id].data(), before[id].size()),
-                0)
-          << "store column " << st.registry().spec(id).name;
-    }
+    expect_bits_equal(sf, sf_before, "staged floats");
+    expect_bits_equal(si, si_before, "staged ints");
+    expect_bits_equal(vel, vel_before, "staged vec3 (vel)");
+    expect_bits_equal(acc, acc_before, "staged vec3 (acc)");
   });
-  // The solver really carried the columns before the fallback sent them home.
+  // The solver really carried the fields before the fallback sent them home.
   const auto reduced = rec->reduce_counters();
   const auto carried = reduced.find("redist.carry.exchanges");
   ASSERT_NE(carried, reduced.end());
   EXPECT_GT(carried->second.totals.sum, 0.0);
+}
+
+// Staged fields that cannot follow the run's particles are rejected before
+// the solve, by a resorting and by a restoring run alike: a vector of the
+// wrong length, and one vector staged twice (carried, its two column views
+// would permute one buffer twice). Nothing moves, the queue still clears,
+// and the handle keeps working.
+TEST(FcsMethods, StagedFieldsAreCheckedBeforeTheSolve) {
+  const TestSystem sys = make_system(4);
+  run_ranks(4, [&](mpi::Comm& c) {
+    std::vector<Vec3> pos;
+    std::vector<double> q;
+    deal(sys, c, pos, q);
+    fcs::Fcs handle(c, "pm");
+    handle.set_common(sys.box);
+    handle.set_accuracy(1e-2);
+    handle.tune(pos, q);
+    std::vector<double> phi;
+    std::vector<Vec3> field;
+    for (const bool resort : {true, false}) {
+      SCOPED_TRACE(resort ? "resorting run" : "restoring run");
+      fcs::RunOptions opts;
+      opts.resort = resort;
+      auto expect_rejected = [&](const std::string& what) {
+        const std::vector<Vec3> pos_before = pos;
+        try {
+          handle.run(pos, q, phi, field, opts);
+          ADD_FAILURE() << "expected an error naming '" << what << "'";
+        } catch (const fcs::Error& e) {
+          EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+              << e.what();
+        }
+        EXPECT_EQ(handle.staged_field_count(), 0u);
+        expect_bits_equal(pos, pos_before, "positions");
+      };
+      const std::size_t n = pos.size();
+      std::vector<Vec3> vel(n);
+      std::vector<double> wrong(n + 1);
+      handle.stage_vec3(vel).stage_floats(wrong, 1);
+      expect_rejected("staged field 1 holds " + std::to_string(n + 1) +
+                      " values");
+      handle.stage_vec3(vel).stage_vec3(vel);
+      expect_rejected("staged field 1 is staged twice");
+
+      handle.stage_vec3(vel);
+      const fcs::RunResult rr = handle.run(pos, q, phi, field, opts);
+      EXPECT_EQ(rr.resorted, resort);
+      EXPECT_EQ(vel.size(), pos.size());
+    }
+  });
 }
 
 TEST(FcsMethods, MethodAandBSamePhysics) {
@@ -500,14 +541,15 @@ TEST(FcsTaskOverlap, DirectSolverOverlapsBitIdentically) {
 
 // ---------------------------------------------------------------------------
 // Every way a per-particle field can follow the particles through method B -
-// resort_vec3, a ResortBatch, staged vectors and a staged store's columns -
-// used together in the same runs, under the phased and the overlapped
-// schedule. Each payload is a function of the particle's position before
-// the run, so afterwards every value must equal the tag of the position the
-// particle comes back with. The first run lets the solver carry the store's
-// columns inside its dense exchange; the second (fixed:B+mm, merge sort,
-// neighborhood exchange) cannot carry, so the columns share the run's one
-// batch with the staged vectors.
+// resort_vec3, a ResortBatch and staged vectors - used together in the same
+// runs, under the phased and the overlapped schedule, with conservation
+// validation on. Each payload is a function of the particle's position
+// before the run, so afterwards every value must equal the tag of the
+// position the particle comes back with. In the phased first run the solver
+// carries the staged vectors inside its dense exchange; the second
+// (fixed:B+mm, merge sort, neighborhood exchange) cannot carry, so they
+// follow in the run's one fused batch. An overlapped run never hands them
+// to the solver: they travel in slabs under the force computation.
 
 namespace {
 
@@ -540,9 +582,6 @@ void expect_every_field_follows(mpi::Comm& c, const TestSystem& sys,
   }
   handle.tune(pos, q);
 
-  store::ParticleStore st;
-  const std::size_t f64_id =
-      st.register_field("tagf", store::FieldType::kF64, 2);
   std::vector<Vec3> rv, bv, sv;
   std::vector<double> bf, sf;
   std::vector<std::int64_t> bi, si;
@@ -572,7 +611,6 @@ void expect_every_field_follows(mpi::Comm& c, const TestSystem& sys,
     sf.resize(n);
     bi.resize(n);
     si.resize(2 * n);
-    st.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       rv[i] = tag_vec3(pos[i], 0);
       bv[i] = tag_vec3(pos[i], 1);
@@ -583,13 +621,8 @@ void expect_every_field_follows(mpi::Comm& c, const TestSystem& sys,
       sf[i] = tag_f64(pos[i], 6);
       si[2 * i] = tag_i64(pos[i], 7);
       si[2 * i + 1] = tag_i64(pos[i], 8);
-      st.vel()[i] = tag_vec3(pos[i], 9);
-      st.acc()[i] = tag_vec3(pos[i], 10);
-      st.view<double>(f64_id)[2 * i] = tag_f64(pos[i], 11);
-      st.view<double>(f64_id)[2 * i + 1] = tag_f64(pos[i], 12);
     }
     handle.stage_vec3(sv).stage_floats(sf, 1).stage_ints(si, 2);
-    handle.stage_store(st);
     const fcs::RunResult rr = handle.run(pos, q, phi, field, opts);
     ASSERT_TRUE(rr.resorted);
     handle.resort_vec3(rv);
@@ -599,7 +632,6 @@ void expect_every_field_follows(mpi::Comm& c, const TestSystem& sys,
 
     const std::size_t m = pos.size();
     ASSERT_EQ(m, handle.resort_particle_count());
-    ASSERT_EQ(st.size(), m);
     ASSERT_EQ(rv.size(), m);
     ASSERT_EQ(bv.size(), m);
     ASSERT_EQ(bf.size(), 2 * m);
@@ -615,11 +647,7 @@ void expect_every_field_follows(mpi::Comm& c, const TestSystem& sys,
                (bf[2 * j + 1] != tag_f64(x, 3)) + (bi[j] != tag_i64(x, 4)) +
                !(sv[j] == tag_vec3(x, 5)) + (sf[j] != tag_f64(x, 6)) +
                (si[2 * j] != tag_i64(x, 7)) +
-               (si[2 * j + 1] != tag_i64(x, 8)) +
-               !(st.vel()[j] == tag_vec3(x, 9)) +
-               !(st.acc()[j] == tag_vec3(x, 10)) +
-               (st.view<double>(f64_id)[2 * j] != tag_f64(x, 11)) +
-               (st.view<double>(f64_id)[2 * j + 1] != tag_f64(x, 12));
+               (si[2 * j + 1] != tag_i64(x, 8));
     }
     EXPECT_EQ(wrong, 0u) << "values not on their particle (rank " << c.rank()
                          << ", " << m << " particles)";
@@ -640,17 +668,28 @@ TEST(FcsFieldRoutes, EveryFieldLandsOnItsParticle) {
         cfg.nranks = p;
         cfg.network = std::make_shared<sim::SwitchedNetwork>();
         cfg.recorder = rec;
+        cfg.validate = true;
         sim::run_spmd(cfg, [&sys, solver, overlap](sim::RankCtx& ctx) {
           mpi::Comm c = mpi::Comm::world(ctx);
           expect_every_field_follows(c, sys, solver, overlap);
         });
-        // The solver carried the store's columns in the first run only.
+        // A phased run's solver carried the staged vectors in the first run
+        // only; an overlapped run never hands them to the solver.
         const auto reduced = rec->reduce_counters();
         const auto carried = reduced.find("redist.carry.exchanges");
-        ASSERT_NE(carried, reduced.end());
-        const auto& by_epoch = carried->second.by_epoch;
-        EXPECT_TRUE(by_epoch.count(0) == 1 && by_epoch.at(0).sum > 0.0);
-        EXPECT_TRUE(by_epoch.count(1) == 0 || by_epoch.at(1).sum == 0.0);
+        if (overlap) {
+          EXPECT_TRUE(carried == reduced.end() ||
+                      carried->second.totals.sum == 0.0);
+        } else {
+          ASSERT_NE(carried, reduced.end());
+          const auto& by_epoch = carried->second.by_epoch;
+          EXPECT_TRUE(by_epoch.count(0) == 1 && by_epoch.at(0).sum > 0.0);
+          EXPECT_TRUE(by_epoch.count(1) == 0 || by_epoch.at(1).sum == 0.0);
+        }
+        // Validation covered every run, staged vectors included.
+        const auto checks = reduced.find("fcs.validate.checks");
+        ASSERT_NE(checks, reduced.end());
+        EXPECT_GT(checks->second.totals.sum, 0.0);
         const auto tasks = reduced.find("fcs.task.runs");
         EXPECT_EQ(tasks != reduced.end(), overlap);
       }

@@ -242,12 +242,16 @@ struct SimOutcome {
 /// One 8-rank MD run (512 ions, pm solver, surrogate motion) with scheduled
 /// rank crashes. checkpoint_interval exceeds the step count, so the only
 /// checkpoint is the post-init one and EVERY recovery rolls back to step 0 -
-/// which is what makes outcomes comparable across crash times.
+/// which is what makes outcomes comparable across crash times. `sparse`
+/// runs method B with max-movement exploitation, `stage_fields` plain
+/// method B with the integrator fields staged into every run (so the
+/// solver carries them), and neither method A.
 SimOutcome run_md_crash(bool sparse,
                         const std::vector<sim::FaultPlan::Crash>& crashes,
                         std::shared_ptr<obs::Recorder> rec = nullptr,
                         std::shared_ptr<const sim::NetworkModel> net = nullptr,
-                        std::size_t extra_fields = 0) {
+                        std::size_t extra_fields = 0,
+                        bool stage_fields = false) {
   SimOutcome out;
   sim::EngineConfig ecfg = fcs_test::engine_config(8);
   if (net) ecfg.network = std::move(net);
@@ -275,8 +279,9 @@ SimOutcome run_md_crash(bool sparse,
     md::SimulationConfig cfg;
     cfg.box = sys.box;
     cfg.steps = 6;
-    cfg.resort = sparse;
+    cfg.resort = sparse || stage_fields;
     cfg.exploit_max_movement = sparse;
+    cfg.stage_fields = stage_fields;
     cfg.surrogate_motion = true;
     cfg.surrogate_step = 0.05;
     cfg.modeled_compute = true;
@@ -372,6 +377,28 @@ TEST_P(RecoveryMd, ExtraPayloadFieldsRecoverWithTheirParticles) {
   EXPECT_EQ(early.checksum, late.checksum);
   EXPECT_EQ(early.state, late.state)
       << "recovered extra payload depends on the crash phase";
+}
+
+TEST(RecoveryMdMisc, CarriedFieldsRecoverWithTheirParticles) {
+  // Fields the solver carries inside its own exchange live in the same
+  // vectors the buddy checkpoint holds, so a recovery rolls them back and
+  // re-hosts the dead shard's rows like any other payload.
+  const SimOutcome base = run_md_crash(false, {}, nullptr, nullptr, 2, true);
+  ASSERT_FALSE(base.recovered);
+  auto rec = std::make_shared<obs::Recorder>();
+  const SimOutcome early = run_md_crash(false, {{2, 0.40 * base.makespan}},
+                                        rec, nullptr, 2, true);
+  const SimOutcome late = run_md_crash(false, {{2, 0.70 * base.makespan}},
+                                       nullptr, nullptr, 2, true);
+  for (const SimOutcome& o : {early, late}) {
+    EXPECT_TRUE(o.recovered);
+    EXPECT_EQ(o.count, 512u);
+  }
+  EXPECT_EQ(early.checksum, late.checksum);
+  EXPECT_EQ(early.state, late.state)
+      << "recovered carried fields depend on the crash phase";
+  EXPECT_GT(counter_sum(*rec, "redist.carry.exchanges"), 0.0);
+  EXPECT_EQ(counter_sum(*rec, "recover.rehosted"), 1.0);
 }
 
 TEST(RecoveryMdMisc, RecoveredRunIsDeterministic) {
